@@ -33,7 +33,6 @@ from .analytic import (
 from .core import (
     BALANCED_R,
     DARK_THRESHOLD,
-    POST_SELECTED_PORT,
     AliasingError,
     ConfigError,
     DarkPortError,
@@ -52,10 +51,10 @@ from .experiment import (
     TuneResult,
     ValidityCheck,
     derive_setup,
+    free_spread_width,
     separation_for_alpha,
     to_model,
     tune_separation,
-    validity_report,
 )
 from .numeric import (
     Distribution1D,
@@ -63,8 +62,6 @@ from .numeric import (
     MomentumGrid,
     SampledWavefunction,
     default_grid,
-    default_joint_grid,
-    free_spread_width,
     joint_marginal_oracle,
     kernel_purity,
     momentum_kick_oracle,

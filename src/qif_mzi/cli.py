@@ -13,7 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import analytic, experiment, numeric, verify
 from .core import (
     BALANCED_R,
+    DARK_THRESHOLD,
     ConfigError,
     DarkPortError,
     GridError,
@@ -32,112 +34,78 @@ __all__ = ["RunConfig", "RunResult", "parse_config", "execute", "write_table", "
 
 MODES = ("distributions", "decompose", "sweep", "ports", "design", "verify")
 
-_GLOBAL_KEYS = ("mode", "out", "format")
+_POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alpha) working point
+_GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D momentum grids
 
-# key -> (kind, help); kind is float / int / str
-_KEY_SPECS: dict[str, tuple[str, str]] = {
-    "mode": ("str", "one of: " + ", ".join(MODES)),
-    "out": ("str", "output file path"),
-    "format": ("str", "csv or json"),
-    "r": ("float", "splitter reflection magnitude in [0, 1] (default balanced)"),
-    "width": ("float", "packet momentum width W (default 1)"),
-    "delta_over_w": ("float", "momentum kick in units of W"),
-    "phi": ("float", "path phase, radians ('pi' suffix allowed)"),
-    "alpha": ("float", "interaction phase, radians"),
-    "port": ("str", "post-selected exit pair: cc, cd, dc or dd (default dc)"),
-    "grid_span": ("float", "half-width of report grids in units of W (default 8)"),
-    "grid_points": ("int", "1D grid points, odd (default 2001)"),
-    "joint_grid_points": ("int", "two-particle oracle grid points per axis, odd (default 513)"),
-    "kick_points": ("int", "DFT size of the kick oracle (default 4096)"),
-    "delta_over_w_min": ("float", "sweep start of delta/W"),
-    "delta_over_w_max": ("float", "sweep end of delta/W"),
-    "delta_over_w_steps": ("int", "sweep points along delta/W (>= 2)"),
-    "phi_min": ("float", "sweep start of phi, radians"),
-    "phi_max": ("float", "sweep end of phi, radians"),
-    "phi_steps": ("int", "sweep points along phi (>= 2)"),
-    "separation_m": ("float", "beam separation d, metres"),
-    "length_m": ("float", "interferometer length L, metres"),
-    "speed_m_per_s": ("float", "longitudinal speed v, m/s"),
-    "waist_transverse_m": ("float", "transverse beam waist, metres"),
-    "waist_longitudinal_m": ("float", "initial longitudinal width, metres"),
-    "tune_target_n": ("int", "request |alpha| = 2 pi n at the tuned separation"),
-    "seed": ("int", "random seed for the verification draws"),
-    "draws_marginal": ("int", "parameter draws for the marginal-oracle suite"),
-    "draws_ports": ("int", "parameter draws for the port-sum suites"),
-}
+# Range checks: (predicate, requirement); a failing value reports "<requirement>, got <value>".
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+_ODD_GRID = (lambda n: n >= 3 and n % 2 == 1, "must be odd and >= 3")
+_SWEEP_STEPS = (lambda n: n >= 2, "sweep needs at least 2 steps")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
 
-_MODE_REQUIRED: dict[str, tuple[str, ...]] = {
-    "distributions": ("delta_over_w", "phi", "alpha"),
-    "decompose": ("delta_over_w", "phi", "alpha"),
-    "sweep": (
-        "delta_over_w_min",
-        "delta_over_w_max",
-        "delta_over_w_steps",
-        "phi_min",
-        "phi_max",
-        "phi_steps",
-    ),
-    "ports": ("delta_over_w", "phi", "alpha"),
-    "design": (
-        "separation_m",
-        "length_m",
-        "speed_m_per_s",
-        "waist_transverse_m",
-        "waist_longitudinal_m",
-    ),
-    "verify": (),
-}
 
-_MODE_OPTIONAL: dict[str, tuple[str, ...]] = {
-    "distributions": ("r", "width", "port", "grid_span", "grid_points"),
-    "decompose": ("width", "grid_span", "grid_points"),
-    "sweep": ("alpha",),
-    "ports": ("r", "width"),
-    "design": ("tune_target_n",),
-    "verify": (
-        "seed",
-        "draws_marginal",
-        "draws_ports",
-        "grid_span",
-        "grid_points",
-        "joint_grid_points",
-        "kick_points",
-    ),
-}
+def _key(default, help_text: str, *, required=(), optional=(), check=None):
+    """One configuration key: default, ``--help`` text, the modes that require
+    or allow it, and its range check.  The value type is the field annotation."""
+    return field(
+        default=default,
+        metadata={"help": help_text, "required": required, "optional": optional, "check": check},
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully-defaulted run description (one mode per run)."""
+    """Validated, fully-defaulted run description (one mode per run).
 
-    mode: str
-    out: str | None = None
-    format: str = "csv"
-    r: float = BALANCED_R
-    width: float = 1.0
-    delta_over_w: float | None = None
-    phi: float | None = None
-    alpha: float = 0.0
-    port: str = "dc"
-    grid_span: float = 8.0
-    grid_points: int = numeric.DEFAULT_GRID_POINTS
-    joint_grid_points: int = numeric.DEFAULT_JOINT_POINTS
-    kick_points: int = numeric.DEFAULT_KICK_POINTS
-    delta_over_w_min: float | None = None
-    delta_over_w_max: float | None = None
-    delta_over_w_steps: int | None = None
-    phi_min: float | None = None
-    phi_max: float | None = None
-    phi_steps: int | None = None
-    separation_m: float | None = None
-    length_m: float | None = None
-    speed_m_per_s: float | None = None
-    waist_transverse_m: float | None = None
-    waist_longitudinal_m: float | None = None
-    tune_target_n: int | None = None
-    seed: int = 12345
-    draws_marginal: int = 100
-    draws_ports: int = 1000
+    Each field is one configuration key; its metadata drives parsing, mode
+    scoping, ``--help`` and range validation.
+    """
+
+    # the selector itself: required, and checked before any mode scoping
+    mode: str = _key(MISSING, "one of: " + ", ".join(MODES))
+    out: str | None = _key(None, "output file path", optional=MODES)
+    format: str = _key("csv", "csv or json", optional=MODES,
+                       check=(lambda v: v in ("csv", "json"), "expected csv or json"))
+    r: float = _key(BALANCED_R, "splitter reflection magnitude in [0, 1] (default balanced)",
+                    optional=("distributions", "ports"), check=(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
+    width: float = _key(1.0, "packet momentum width W (default 1)", optional=_POINT_MODES, check=_POSITIVE)
+    delta_over_w: float | None = _key(None, "momentum kick in units of W", required=_POINT_MODES,
+                                      check=_NON_NEGATIVE)
+    phi: float | None = _key(None, "path phase, radians ('pi' suffix allowed)", required=_POINT_MODES)
+    alpha: float = _key(0.0, "interaction phase, radians", required=_POINT_MODES, optional=("sweep",))
+    port: str = _key("dc", "post-selected exit pair: cc, cd, dc or dd (default dc)", optional=("distributions",),
+                     check=(lambda v: v in tuple(p.value for p in PortPair), "expected one of cc, cd, dc, dd"))
+    grid_span: float = _key(8.0, "half-width of report grids in units of W (default 8)", optional=_GRID_MODES,
+                            check=_POSITIVE)
+    grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd (default 2001)",
+                            optional=_GRID_MODES, check=_ODD_GRID)
+    joint_grid_points: int = _key(numeric.DEFAULT_JOINT_POINTS,
+                                  "two-particle oracle grid points per axis, odd (default 513)",
+                                  optional=("verify",), check=_ODD_GRID)
+    kick_points: int = _key(numeric.DEFAULT_KICK_POINTS, "DFT size of the kick oracle (default 4096)",
+                            optional=("verify",), check=(lambda n: n >= 16, "must be >= 16"))
+    delta_over_w_min: float | None = _key(None, "sweep start of delta/W", required=("sweep",), check=_NON_NEGATIVE)
+    delta_over_w_max: float | None = _key(None, "sweep end of delta/W", required=("sweep",))
+    delta_over_w_steps: int | None = _key(None, "sweep points along delta/W (>= 2)", required=("sweep",),
+                                          check=_SWEEP_STEPS)
+    phi_min: float | None = _key(None, "sweep start of phi, radians", required=("sweep",))
+    phi_max: float | None = _key(None, "sweep end of phi, radians", required=("sweep",))
+    phi_steps: int | None = _key(None, "sweep points along phi (>= 2)", required=("sweep",), check=_SWEEP_STEPS)
+    separation_m: float | None = _key(None, "beam separation d, metres", required=("design",), check=_POSITIVE)
+    length_m: float | None = _key(None, "interferometer length L, metres", required=("design",), check=_POSITIVE)
+    speed_m_per_s: float | None = _key(None, "longitudinal speed v, m/s", required=("design",), check=_POSITIVE)
+    waist_transverse_m: float | None = _key(None, "transverse beam waist, metres", required=("design",),
+                                            check=_POSITIVE)
+    waist_longitudinal_m: float | None = _key(None, "initial longitudinal width, metres", required=("design",),
+                                              check=_POSITIVE)
+    tune_target_n: int | None = _key(None, "request |alpha| = 2 pi n at the tuned separation",
+                                     optional=("design",), check=(lambda n: n >= 1, "must be a positive integer"))
+    seed: int = _key(12345, "random seed for the verification draws", optional=("verify",), check=_NON_NEGATIVE)
+    draws_marginal: int = _key(100, "parameter draws for the marginal-oracle suite", optional=("verify",),
+                               check=_AT_LEAST_ONE)
+    draws_ports: int = _key(1000, "parameter draws for the port-sum suites", optional=("verify",),
+                            check=_AT_LEAST_ONE)
 
     def model_params(self) -> InterferometerParams:
         return InterferometerParams(
@@ -156,6 +124,16 @@ class RunConfig:
             waist_transverse=self.waist_transverse_m,
             waist_longitudinal=self.waist_longitudinal_m,
         )
+
+
+_KEYS = {f.name: f for f in fields(RunConfig)}
+# value type of each key, read from its annotation ``X`` or ``X | None``
+_KINDS = {name: (typing.get_args(hint) or (hint,))[0] for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
+def _mode_keys(mode: str, *roles: str) -> list[str]:
+    """Keys, in table order, that ``mode`` lists under any of ``roles`` (required / optional)."""
+    return [name for name, f in _KEYS.items() if any(mode in f.metadata[role] for role in roles)]
 
 
 @dataclass
@@ -202,7 +180,7 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, int]]:
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {original.strip()!r}", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_SPECS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'", lineno)
         if key in raw:
             raise ConfigError(f"duplicate key '{key}' (first set on line {lines[key]})", lineno)
@@ -221,20 +199,19 @@ def build_config(raw: dict[str, str], lines: dict[str, int] | None = None) -> Ru
         return lines.get(key)
 
     if "mode" not in raw:
-        required_hint = ", ".join(_GLOBAL_KEYS[:1])
         raise ConfigError(
-            f"missing required key 'mode' ({required_hint} plus the mode's own keys are required; "
+            "missing required key 'mode' (mode plus the mode's own keys are required; "
             f"modes: {', '.join(MODES)})"
         )
     mode = raw["mode"].strip().lower()
     if mode not in MODES:
         raise ConfigError(f"unknown mode {raw['mode']!r}; expected one of {', '.join(MODES)}", where("mode"))
 
-    allowed = set(_GLOBAL_KEYS) | set(_MODE_REQUIRED[mode]) | set(_MODE_OPTIONAL[mode])
+    allowed = {"mode", *_mode_keys(mode, "required", "optional")}
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"key '{key}' is not valid in mode '{mode}'", where(key))
-    missing = [key for key in _MODE_REQUIRED[mode] if key not in raw]
+    missing = [key for key in _mode_keys(mode, "required") if key not in raw]
     if missing:
         raise ConfigError(f"mode '{mode}' is missing required keys: {', '.join(missing)}")
 
@@ -242,62 +219,26 @@ def build_config(raw: dict[str, str], lines: dict[str, int] | None = None) -> Ru
     for key, text in raw.items():
         if key == "mode":
             continue
-        kind = _KEY_SPECS[key][0]
-        if kind == "float":
+        kind = _KINDS[key]
+        if kind is float:
             values[key] = _parse_float(text, key, where(key))
-        elif kind == "int":
+        elif kind is int:
             values[key] = _parse_int(text, key, where(key))
         else:
             values[key] = text.strip()
 
     config = RunConfig(**values)
-    _validate_ranges(config, where)
-    return config
-
-
-def _validate_ranges(config: RunConfig, where) -> None:
-    def bad(key: str, message: str):
-        return ConfigError(f"key '{key}': {message}", where(key))
-
-    if config.format not in ("csv", "json"):
-        raise bad("format", f"expected csv or json, got {config.format!r}")
-    if config.port not in tuple(p.value for p in PortPair):
-        raise bad("port", f"expected one of cc, cd, dc, dd, got {config.port!r}")
-    if not 0.0 <= config.r <= 1.0:
-        raise bad("r", f"must lie in [0, 1], got {config.r!r}")
-    if not config.width > 0.0:
-        raise bad("width", f"must be positive, got {config.width!r}")
-    if config.delta_over_w is not None and config.delta_over_w < 0.0:
-        raise bad("delta_over_w", f"must be >= 0, got {config.delta_over_w!r}")
-    if not config.grid_span > 0.0:
-        raise bad("grid_span", f"must be positive, got {config.grid_span!r}")
-    for key in ("grid_points", "joint_grid_points"):
-        n = getattr(config, key)
-        if n < 3 or n % 2 == 0:
-            raise bad(key, f"must be odd and >= 3, got {n!r}")
-    if config.kick_points < 16:
-        raise bad("kick_points", f"must be >= 16, got {config.kick_points!r}")
-    for key in ("delta_over_w_steps", "phi_steps"):
-        n = getattr(config, key)
-        if n is not None and n < 2:
-            raise bad(key, f"sweep needs at least 2 steps, got {n!r}")
+    for key, f in _KEYS.items():
+        value, check = getattr(config, key), f.metadata["check"]
+        if value is not None and check is not None and not check[0](value):
+            raise ConfigError(f"key '{key}': {check[1]}, got {value!r}", where(key))
     for lo_key, hi_key in (("delta_over_w_min", "delta_over_w_max"), ("phi_min", "phi_max")):
         lo, hi = getattr(config, lo_key), getattr(config, hi_key)
         if lo is not None and hi is not None and not lo < hi:
-            raise bad(hi_key, f"range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})")
-    if config.delta_over_w_min is not None and config.delta_over_w_min < 0.0:
-        raise bad("delta_over_w_min", f"must be >= 0, got {config.delta_over_w_min!r}")
-    for key in ("separation_m", "length_m", "speed_m_per_s", "waist_transverse_m", "waist_longitudinal_m"):
-        value = getattr(config, key)
-        if value is not None and not value > 0.0:
-            raise bad(key, f"must be positive, got {value!r}")
-    if config.tune_target_n is not None and config.tune_target_n < 1:
-        raise bad("tune_target_n", f"must be a positive integer, got {config.tune_target_n!r}")
-    if config.seed < 0:
-        raise bad("seed", f"must be >= 0, got {config.seed!r}")
-    for key in ("draws_marginal", "draws_ports"):
-        if getattr(config, key) < 1:
-            raise bad(key, f"must be >= 1, got {getattr(config, key)!r}")
+            raise ConfigError(
+                f"key '{hi_key}': range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})", where(hi_key)
+            )
+    return config
 
 
 def parse_config(text: str) -> RunConfig:
@@ -310,9 +251,12 @@ def parse_config(text: str) -> RunConfig:
 # Mode implementations
 # ---------------------------------------------------------------------------
 
-def _report_grid(config: RunConfig) -> numeric.MomentumGrid:
+def _report_grid(config: RunConfig, params: InterferometerParams) -> numeric.MomentumGrid:
+    """The report grid, refused (GridSpanError) unless it holds the free and both kicked branches."""
     half = config.grid_span * config.width
-    return numeric.MomentumGrid(-half, half, config.grid_points)
+    grid = numeric.MomentumGrid(-half, half, config.grid_points)
+    numeric._require_coverage(grid, (params.packet(), params.kicked_packet(1), params.kicked_packet(2)))
+    return grid
 
 
 def _fmt_params(params: InterferometerParams) -> str:
@@ -325,9 +269,13 @@ def _fmt_params(params: InterferometerParams) -> str:
 def _run_distributions(config: RunConfig) -> RunResult:
     params = config.model_params()
     port = PortPair(config.port)
-    grid = _report_grid(config)
+    grid = _report_grid(config, params)
     p = grid.points
     if port is PortPair.DC:
+        # the DC closed forms below never see r, so reachability comes from the port algebra
+        prob = analytic.port_probabilities(params)[PortPair.DC]
+        if prob <= DARK_THRESHOLD:
+            raise DarkPortError(f"post-selected probability vanishes (P(DC) = {prob:.3e}); density undefined")
         dens1 = analytic.marginal_density(params, 1, p, normalized=True)
         dens2 = analytic.marginal_density(params, 2, p, normalized=True)
     else:
@@ -356,7 +304,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
 
 def _run_decompose(config: RunConfig) -> RunResult:
     params = config.model_params()
-    grid = _report_grid(config)
+    grid = _report_grid(config, params)
     p = grid.points
     direct, cross = analytic.term_decomposition(params, p)
     w = params.width
@@ -455,55 +403,26 @@ def _run_design(config: RunConfig) -> RunResult:
     inputs = config.experiment_inputs()
     setup = experiment.derive_setup(inputs)
     tuned = experiment.tune_separation(inputs, config.tune_target_n)
-    columns = [
-        "separation_m",
-        "length_m",
-        "speed_m_per_s",
-        "waist_transverse_m",
-        "waist_longitudinal_m",
-        "transit_time_s",
-        "force_N",
-        "delta_kg_m_per_s",
-        "width_W_kg_m_per_s",
-        "delta_over_W",
-        "alpha_rad",
-        "alpha_over_pi",
-        "fringe_spacing_m",
-        "longitudinal_spread_m",
-        "transverse_spread_m",
-        "transverse_spread_relative",
-        "kinetic_scale_J",
-        "potential_scale_J",
-        "tuned_multiple_2pi",
-        "tuned_separation_m",
-        "tuned_alpha_rad",
-    ]
-    row = [
-        inputs.separation,
-        inputs.length,
-        inputs.speed,
-        inputs.waist_transverse,
-        inputs.waist_longitudinal,
-        setup.transit_time,
-        setup.force,
-        setup.delta,
-        setup.momentum_width,
-        setup.delta_over_width,
-        setup.alpha,
-        setup.alpha / math.pi,
-        setup.fringe_spacing,
-        setup.longitudinal_spread,
-        setup.transverse_spread,
-        setup.transverse_spread_relative,
-        setup.kinetic_scale,
-        setup.potential_scale,
-        tuned.n_multiple,
-        tuned.separation,
-        tuned.setup.alpha,
+    cells = [(key, getattr(config, key)) for key in _mode_keys("design", "required")] + [
+        ("transit_time_s", setup.transit_time),
+        ("force_N", setup.force),
+        ("delta_kg_m_per_s", setup.delta),
+        ("width_W_kg_m_per_s", setup.momentum_width),
+        ("delta_over_W", setup.delta_over_width),
+        ("alpha_rad", setup.alpha),
+        ("alpha_over_pi", setup.alpha / math.pi),
+        ("fringe_spacing_m", setup.fringe_spacing),
+        ("longitudinal_spread_m", setup.longitudinal_spread),
+        ("transverse_spread_m", setup.transverse_spread),
+        ("transverse_spread_relative", setup.transverse_spread_relative),
+        ("kinetic_scale_J", setup.kinetic_scale),
+        ("potential_scale_J", setup.potential_scale),
+        ("tuned_multiple_2pi", tuned.n_multiple),
+        ("tuned_separation_m", tuned.separation),
+        ("tuned_alpha_rad", tuned.setup.alpha),
     ]
     for check in setup.validity:
-        columns += [f"check_{check.name}_ratio", f"check_{check.name}_pass"]
-        row += [check.ratio, int(check.passed)]
+        cells += [(f"check_{check.name}_ratio", check.ratio), (f"check_{check.name}_pass", int(check.passed))]
     summary = [
         "design mode: SI setup -> dimensionless model",
         f"  transit time           {setup.transit_time:.6e} s",
@@ -520,7 +439,8 @@ def _run_design(config: RunConfig) -> RunResult:
         f"  tuned separation       {tuned.separation * 1e3:.4f} mm gives |alpha| = {tuned.n_multiple} x 2 pi",
     ]
     summary += ["  " + check.describe() for check in setup.validity]
-    return RunResult(columns, [tuple(row)], summary)
+    columns, row = zip(*cells)
+    return RunResult(list(columns), [row], summary)
 
 
 def _run_verify(config: RunConfig) -> RunResult:
@@ -623,18 +543,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "parameter sweeps, exit-port tables, SI experiment design, and oracle verification."
         ),
     )
-    parser.add_argument("mode", nargs="?", default=None, help="one of: " + ", ".join(MODES))
+    parser.add_argument("mode", nargs="?", default=None, help=_KEYS["mode"].metadata["help"])
     parser.add_argument("--config", metavar="FILE", default=None, help="key = value configuration file")
-    for key, (kind, help_text) in _KEY_SPECS.items():
-        if key == "mode":
-            continue
-        parser.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=f"key_{key}",
-            metavar=kind.upper(),
-            default=None,
-            help=help_text,
-        )
+    for key, f in _KEYS.items():
+        if key != "mode":
+            parser.add_argument(
+                "--" + key.replace("_", "-"), metavar=_KINDS[key].__name__.upper(), help=f.metadata["help"]
+            )
     return parser
 
 
@@ -650,13 +565,8 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as err:
                 raise ConfigError(f"cannot read config file {args.config!r}: {err}") from err
             raw, lines = parse_config_text(text)
-        if args.mode is not None:
-            raw["mode"] = args.mode
-            lines.pop("mode", None)
-        for key in _KEY_SPECS:
-            if key == "mode":
-                continue
-            override = getattr(args, f"key_{key}")
+        for key in _KEYS:  # the positional mode and every --key flag override the file
+            override = getattr(args, key)
             if override is not None:
                 raw[key] = override
                 lines.pop(key, None)  # overridden: errors no longer point at the file

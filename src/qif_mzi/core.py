@@ -30,7 +30,6 @@ __all__ = [
     "GaussianPacket",
     "InterferometerParams",
     "PortPair",
-    "POST_SELECTED_PORT",
     "kick_sign",
 ]
 
@@ -167,7 +166,3 @@ class PortPair(Enum):
     DC = "dc"
     DD = "dd"
 
-
-#: The post-selection that produces the effective attraction: electron 1
-#: leaves through D, electron 2 through C.
-POST_SELECTED_PORT = PortPair.DC

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import BALANCED_R, InterferometerParams
-from .numeric import free_spread_width
 
 __all__ = [
     "PhysicalConstants",
@@ -38,7 +37,7 @@ __all__ = [
     "ValidityCheck",
     "DerivedSetup",
     "derive_setup",
-    "validity_report",
+    "free_spread_width",
     "TuneResult",
     "separation_for_alpha",
     "tune_separation",
@@ -58,6 +57,22 @@ class PhysicalConstants:
 
 
 CODATA2018 = PhysicalConstants()
+
+
+def free_spread_width(initial_width: float, t: float, mass: float) -> float:
+    """Width of a freely spreading Gaussian beam after time ``t`` (SI units).
+
+    initial_width * sqrt(1 + (hbar t / (2 m initial_width^2))^2); tends to
+    hbar t / (2 m initial_width) for large t.
+    """
+    if not initial_width > 0.0:
+        raise ValueError(f"initial width must be positive, got {initial_width!r}")
+    if not mass > 0.0:
+        raise ValueError(f"mass must be positive, got {mass!r}")
+    if t < 0.0:
+        raise ValueError(f"time must be >= 0, got {t!r}")
+    rate = CODATA2018.hbar * t / (2.0 * mass * initial_width * initial_width)
+    return initial_width * math.sqrt(1.0 + rate * rate)
 
 
 @dataclass(frozen=True)
@@ -157,11 +172,6 @@ def derive_setup(inputs: ExperimentInputs, constants: PhysicalConstants = CODATA
         validity=_checks(inputs, values),
         **values,
     )
-
-
-def validity_report(inputs: ExperimentInputs, constants: PhysicalConstants = CODATA2018) -> tuple[ValidityCheck, ...]:
-    """The named model-validity checks on their own."""
-    return derive_setup(inputs, constants).validity
 
 
 class TuneResult(NamedTuple):

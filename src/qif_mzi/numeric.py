@@ -10,8 +10,7 @@ Independent computation paths:
   Gaussian, multiply by exp(-i delta x), discrete Fourier transform back -
   checks that a linear potential rigidly displaces the momentum density;
 * a grid-kernel eigendecomposition of reduced states - checks the Gram
-  algebra purity;
-* free Gaussian spreading in SI units (the one SI-aware operation here).
+  algebra purity.
 
 Simpson on these analytic Gaussians converges far faster than its h^4 bound
 because all derivatives vanish at the grid edges, which is what makes the
@@ -46,7 +45,6 @@ __all__ = [
     "TAIL_BUDGET",
     "MomentumGrid",
     "default_grid",
-    "default_joint_grid",
     "SampledWavefunction",
     "sample_packet",
     "Distribution1D",
@@ -54,7 +52,6 @@ __all__ = [
     "KickOracleResult",
     "momentum_kick_oracle",
     "kernel_purity",
-    "free_spread_width",
 ]
 
 DEFAULT_SPAN = 8.0          # half-width of default grids, in units of W
@@ -66,15 +63,17 @@ TAIL_BUDGET = 1e-10         # allowed analytic tail mass outside a grid
 
 @lru_cache(maxsize=64)
 def _linspace(p_min: float, p_max: float, n: int) -> np.ndarray:
-    return np.linspace(p_min, p_max, n)
+    points = np.linspace(p_min, p_max, n)
+    points.flags.writeable = False  # shared by every equal grid
+    return points
 
 
 @dataclass(frozen=True)
 class MomentumGrid:
     """Uniform 1D momentum grid with an odd point count.
 
-    Odd n enables composite Simpson weights; treat the ``points`` array as
-    read-only (it is shared between equal grids).
+    Odd n enables composite Simpson weights; the ``points`` array is
+    read-only because it is shared between equal grids.
     """
 
     p_min: float
@@ -128,10 +127,6 @@ class MomentumGrid:
 
 def default_grid(width: float = 1.0, span: float = DEFAULT_SPAN, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:
     """Symmetric grid spanning +-span*width."""
-    return MomentumGrid(-span * width, span * width, n)
-
-
-def default_joint_grid(width: float = 1.0, span: float = DEFAULT_SPAN, n: int = DEFAULT_JOINT_POINTS) -> MomentumGrid:
     return MomentumGrid(-span * width, span * width, n)
 
 
@@ -216,7 +211,7 @@ def joint_marginal_oracle(
     it is used to check.
     """
     if grid is None:
-        grid = default_joint_grid(params.width)
+        grid = default_grid(params.width, n=DEFAULT_JOINT_POINTS)
     base = params.packet()
     kicked1 = params.kicked_packet(1)
     kicked2 = params.kicked_packet(2)
@@ -329,7 +324,7 @@ def kernel_purity(coeff: np.ndarray, basis, grid: MomentumGrid | None = None) ->
     """
     if grid is None:
         widths = {b.width for b in basis}
-        grid = default_joint_grid(max(widths))
+        grid = default_grid(max(widths), n=DEFAULT_JOINT_POINTS)
     sampled = np.stack([b(grid.points) for b in basis])
     kernel = sampled.T @ (np.asarray(coeff) @ sampled)
     root_w = np.sqrt(grid.simpson_weights())
@@ -340,21 +335,3 @@ def kernel_purity(coeff: np.ndarray, basis, grid: MomentumGrid | None = None) ->
     if total <= DARK_THRESHOLD:
         raise DarkPortError("kernel trace vanishes; purity undefined")
     return float((lam @ lam) / (total * total))
-
-
-def free_spread_width(initial_width: float, t: float, mass: float) -> float:
-    """Width of a freely spreading Gaussian beam after time ``t`` (SI units).
-
-    initial_width * sqrt(1 + (hbar t / (2 m initial_width^2))^2); tends to
-    hbar t / (2 m initial_width) for large t.
-    """
-    if not initial_width > 0.0:
-        raise ValueError(f"initial width must be positive, got {initial_width!r}")
-    if not mass > 0.0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
-    if t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    from .experiment import CODATA2018  # SI constants live with the experiment layer
-
-    rate = CODATA2018.hbar * t / (2.0 * mass * initial_width * initial_width)
-    return initial_width * math.sqrt(1.0 + rate * rate)

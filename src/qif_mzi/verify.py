@@ -66,7 +66,7 @@ def check_marginal_oracle(
     normalised comparison is ill-conditioned rather than wrong.
     """
     rng = np.random.default_rng(seed)
-    grid = numeric.default_joint_grid(1.0, span, points)
+    grid = numeric.default_grid(1.0, span, points)
     worst = 0.0
     for _ in range(draws):
         while True:
@@ -158,11 +158,13 @@ def check_mean_conventions(
     return CheckResult.from_deviation("postselected_mean_quadrature", abs(quad_mean - closed), 1e-9, detail)
 
 
-def check_purity_routes(points: int = numeric.DEFAULT_JOINT_POINTS) -> CheckResult:
+def check_purity_routes(
+    span: float = numeric.DEFAULT_SPAN, points: int = numeric.DEFAULT_JOINT_POINTS
+) -> CheckResult:
     """Gram-algebra purity vs the grid-kernel eigendecomposition."""
     state = analytic.reduced_state(HEADLINE_PARAMS, 1)
     gram_route = state.purity()
-    grid = numeric.default_joint_grid(HEADLINE_PARAMS.width, numeric.DEFAULT_SPAN, points)
+    grid = numeric.default_grid(HEADLINE_PARAMS.width, span, points)
     kernel_route = numeric.kernel_purity(state.coeff, state.basis, grid)
     return CheckResult.from_deviation(
         "reduced_purity_two_routes",
@@ -186,5 +188,5 @@ def run_all(
     results.extend(check_momentum_kick(kick_points))
     results.extend(check_port_sums(draws_ports, seed + 1))
     results.append(check_mean_conventions(span, grid_points))
-    results.append(check_purity_routes(joint_points))
+    results.append(check_purity_routes(span, joint_points))
     return results

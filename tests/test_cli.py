@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qif_mzi import ConfigError
+from qif_mzi import ConfigError, numeric
 from qif_mzi.cli import build_config, execute, main, parse_config, write_table
 
 REPO = Path(__file__).resolve().parent.parent
@@ -235,6 +236,21 @@ def test_verify_mode_small_battery():
     assert all(row[3] == 1 for row in result.rows)
 
 
+def test_verify_grid_span_reaches_the_kernel_purity_grid(monkeypatch, capsys):
+    seen = []
+    kernel_purity = numeric.kernel_purity
+
+    def recording(coeff, basis, grid=None):
+        seen.append(grid)
+        return kernel_purity(coeff, basis, grid)
+
+    monkeypatch.setattr(numeric, "kernel_purity", recording)
+    assert main(["verify", "--draws-marginal", "1", "--draws-ports", "5", "--joint-grid-points", "129",
+                 "--grid-span", "12"]) == 0
+    assert [(grid.p_min, grid.p_max, grid.n) for grid in seen] == [(-12.0, 12.0, 129)]
+    assert "PASS reduced_purity_two_routes" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # entry point behaviour
 # ---------------------------------------------------------------------------
@@ -270,12 +286,32 @@ def test_main_positional_mode_overrides_file(tmp_path):
 
 
 def test_main_dark_port_is_structured_error(tmp_path, capsys):
-    out = tmp_path / "dark.csv"
-    code = main(["distributions", "--delta-over-w", "0", "--phi", "pi", "--alpha", "0", "--out", str(out)])
+    # phases that cancel the DC pair, and the splitters r = 0 and r = 1 that never reach it
+    for dark in (["--delta-over-w", "0", "--phi", "pi"],
+                 ["--r", "0", "--delta-over-w", "0.3", "--phi", "0.75pi"],
+                 ["--r", "1", "--delta-over-w", "0.3", "--phi", "0.75pi"]):
+        out = tmp_path / "dark.csv"
+        code = main(["distributions", *dark, "--alpha", "0", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "vanishes" in captured.err
+        assert "nan" not in captured.err.lower()
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["distributions", "--delta-over-w", "10", "--phi", "0.9pi", "--alpha", "0"],
+    ["distributions", "--delta-over-w", "1e300", "--phi", "0.9pi", "--alpha", "0"],
+], ids=["half-off-grid", "overflowing"])
+def test_main_report_grid_must_hold_every_branch(argv, tmp_path, capsys):
+    out = tmp_path / "truncated.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
-    assert "vanishes" in captured.err
-    assert "nan" not in captured.err.lower()
+    assert captured.err.startswith("qif-mzi: error: grid [-8, 8] truncates a branch")
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -283,6 +319,59 @@ def test_main_config_error_exit_code(capsys):
     assert main(["distributions"]) == 2  # missing required keys
     assert "config error" in capsys.readouterr().err
     assert main(["--config", "/no/such/file.cfg"]) == 2
+
+
+_SWEEP = ("mode = sweep\ndelta_over_w_min = 0\ndelta_over_w_max = 3\ndelta_over_w_steps = 5\n"
+          "phi_min = 0\nphi_max = 1\nphi_steps = 5\n")
+_DESIGN = ("mode = design\nseparation_m = 2e-3\nlength_m = 4e-2\nspeed_m_per_s = 2e6\n"
+           "waist_transverse_m = 1e-5\nwaist_longitudinal_m = 2e-7\n")
+
+
+# one bad value per range-checked key: (document, key, value, line, message)
+_RANGE_ERRORS = [
+    (FIG2C_TEXT, "format", "xml", 5, "key 'format': expected csv or json, got 'xml'"),
+    (FIG2C_TEXT, "r", "1.5", 5, "key 'r': must lie in [0, 1], got 1.5"),
+    (FIG2C_TEXT, "width", "0", 5, "key 'width': must be positive, got 0.0"),
+    ("mode = ports\nphi = 0\nalpha = 0\n", "delta_over_w", "-0.1", 4, "key 'delta_over_w': must be >= 0, got -0.1"),
+    (FIG2C_TEXT, "port", "xx", 5, "key 'port': expected one of cc, cd, dc, dd, got 'xx'"),
+    (FIG2C_TEXT, "grid_span", "-2", 5, "key 'grid_span': must be positive, got -2.0"),
+    (FIG2C_TEXT, "grid_points", "100", 5, "key 'grid_points': must be odd and >= 3, got 100"),
+    ("mode = verify\n", "joint_grid_points", "1", 2, "key 'joint_grid_points': must be odd and >= 3, got 1"),
+    ("mode = verify\n", "kick_points", "15", 2, "key 'kick_points': must be >= 16, got 15"),
+    (_SWEEP.replace("delta_over_w_min = 0\n", ""), "delta_over_w_min", "-1", 7,
+     "key 'delta_over_w_min': must be >= 0, got -1.0"),
+    (_SWEEP.replace("delta_over_w_max = 3\n", ""), "delta_over_w_max", "0", 7,
+     "key 'delta_over_w_max': range must be ordered: delta_over_w_min < delta_over_w_max (got 0.0 >= 0.0)"),
+    (_SWEEP.replace("delta_over_w_steps = 5\n", ""), "delta_over_w_steps", "1", 7,
+     "key 'delta_over_w_steps': sweep needs at least 2 steps, got 1"),
+    (_SWEEP.replace("phi_max = 1\n", ""), "phi_max", "-1", 7,
+     "key 'phi_max': range must be ordered: phi_min < phi_max (got 0.0 >= -1.0)"),
+    (_SWEEP.replace("phi_steps = 5\n", ""), "phi_steps", "0", 7, "key 'phi_steps': sweep needs at least 2 steps, got 0"),
+    (_DESIGN.replace("separation_m = 2e-3\n", ""), "separation_m", "0", 6, "key 'separation_m': must be positive, got 0.0"),
+    (_DESIGN.replace("length_m = 4e-2\n", ""), "length_m", "-1", 6, "key 'length_m': must be positive, got -1.0"),
+    (_DESIGN.replace("speed_m_per_s = 2e6\n", ""), "speed_m_per_s", "0", 6,
+     "key 'speed_m_per_s': must be positive, got 0.0"),
+    (_DESIGN.replace("waist_transverse_m = 1e-5\n", ""), "waist_transverse_m", "0", 6,
+     "key 'waist_transverse_m': must be positive, got 0.0"),
+    (_DESIGN.replace("waist_longitudinal_m = 2e-7\n", ""), "waist_longitudinal_m", "-2e-7", 6,
+     "key 'waist_longitudinal_m': must be positive, got -2e-07"),
+    (_DESIGN, "tune_target_n", "0", 7, "key 'tune_target_n': must be a positive integer, got 0"),
+    ("mode = verify\n", "seed", "-1", 2, "key 'seed': must be >= 0, got -1"),
+    ("mode = verify\n", "draws_marginal", "0", 2, "key 'draws_marginal': must be >= 1, got 0"),
+    ("mode = verify\n", "draws_ports", "-5", 2, "key 'draws_ports': must be >= 1, got -5"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, key, value, line, message", _RANGE_ERRORS, ids=[case[1] for case in _RANGE_ERRORS]
+)
+def test_main_range_error_wording(base, key, value, line, message, tmp_path, capsys):
+    config_file = tmp_path / "bad.cfg"
+    config_file.write_text(f"{base}{key} = {value}\n")
+    assert main(["--config", str(config_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qif-mzi: config error: line {line}: {message}\n"
+    assert captured.out == ""
 
 
 def test_main_unwritable_output(capsys):

@@ -10,10 +10,10 @@ from qif_mzi import (
     BALANCED_R,
     ExperimentInputs,
     derive_setup,
+    free_spread_width,
     separation_for_alpha,
     to_model,
     tune_separation,
-    validity_report,
 )
 
 BASELINE = ExperimentInputs(
@@ -72,7 +72,7 @@ def test_scaling_with_separation():
 
 
 def test_baseline_validity_checks_pass():
-    checks = {c.name: c for c in validity_report(BASELINE)}
+    checks = {c.name: c for c in derive_setup(BASELINE).validity}
     assert set(checks) == {
         "separation_to_extent",
         "potential_to_kinetic",
@@ -90,7 +90,7 @@ def test_baseline_validity_checks_pass():
 
 def test_validity_failure_is_reported_not_raised():
     cramped = dataclasses.replace(BASELINE, separation=2e-4)
-    checks = {c.name: c for c in validity_report(cramped)}
+    checks = {c.name: c for c in derive_setup(cramped).validity}
     assert not checks["separation_to_extent"].passed  # ratio 20 < 100
     assert "FAIL" in checks["separation_to_extent"].describe()
 
@@ -144,3 +144,35 @@ def test_bridge_to_model():
     scaled = to_model(setup, phi=0.1, width=2.5)
     assert scaled.delta_over_width == pytest.approx(setup.delta_over_width, rel=1e-15)
     assert to_model(setup, phi=0.1, zero_alpha=True).alpha == 0.0
+
+
+def test_free_spread_identity_at_zero_time():
+    assert free_spread_width(1e-6, 0.0, 9.1093837015e-31) == 1e-6
+
+
+def test_free_spread_reference_values():
+    m_e = 9.1093837015e-31
+    assert free_spread_width(200e-9, 2e-8, m_e) == pytest.approx(5.791835969002182e-06, rel=1e-12)
+    relative = free_spread_width(10e-6, 2e-8, m_e) / 10e-6 - 1.0
+    assert relative == pytest.approx(6.700848271523618e-05, rel=1e-9)
+
+
+@given(st.floats(1e-8, 1e-4), st.floats(1e-10, 1e-5))
+def test_free_spread_monotone_and_asymptotic(width0, t):
+    m_e = 9.1093837015e-31
+    hbar = 1.054571817e-34
+    now = free_spread_width(width0, t, m_e)
+    later = free_spread_width(width0, 2.0 * t, m_e)
+    assert later >= now >= width0
+    t_long = 1e9 * (2.0 * m_e * width0 * width0 / hbar)
+    asymptote = hbar * t_long / (2.0 * m_e * width0)
+    assert free_spread_width(width0, t_long, m_e) == pytest.approx(asymptote, rel=1e-9)
+
+
+def test_free_spread_validation():
+    with pytest.raises(ValueError):
+        free_spread_width(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        free_spread_width(1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        free_spread_width(1.0, 1.0, 0.0)

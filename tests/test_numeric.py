@@ -20,8 +20,6 @@ from qif_mzi.numeric import (
     Distribution1D,
     MomentumGrid,
     default_grid,
-    default_joint_grid,
-    free_spread_width,
     joint_marginal_oracle,
     kernel_purity,
     momentum_kick_oracle,
@@ -45,6 +43,15 @@ def test_grid_validation():
     grid = MomentumGrid(-8.0, 8.0, 2001)
     assert grid.spacing == pytest.approx(16.0 / 2000.0)
     assert grid.points[0] == -8.0 and grid.points[-1] == 8.0
+
+
+def test_cached_grid_points_are_read_only():
+    grid = default_grid()
+    with pytest.raises(ValueError):
+        grid.points[0] = 123.0
+    fresh = MomentumGrid(-8.0, 8.0, 2001)
+    assert fresh.points[0] == -8.0
+    assert np.array_equal(fresh.points, np.linspace(-8.0, 8.0, 2001))
 
 
 def test_simpson_weights_structure():
@@ -140,7 +147,7 @@ def test_oracle_matches_closed_form_random_draws(delta, phi, alpha, electron):
     params = InterferometerParams(BALANCED_R, phi, alpha, delta, 1.0)
     if analytic.postselect_norm(params) < 1e-3:
         return
-    grid = default_joint_grid()
+    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
     oracle = joint_marginal_oracle(params, electron, grid)
     closed = analytic.marginal_density(params, electron, grid.points, normalized=True)
     assert np.max(np.abs(oracle.values - closed)) < 1e-9
@@ -160,7 +167,7 @@ def test_oracle_dark_port_raises():
 
 def test_port_norm_oracle_matches_closed_probability():
     # 2D Simpson norm of a port's two-branch joint state vs the Gram form
-    grid = default_joint_grid()
+    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
     p = grid.points
     base = HEADLINE.packet()
     f1 = np.outer(base(p), base(p))
@@ -229,35 +236,3 @@ def test_kernel_purity_with_complex_phase():
     params = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0)
     state = analytic.reduced_state(params, 1)
     assert kernel_purity(state.coeff, state.basis) == pytest.approx(state.purity(), abs=1e-9)
-
-
-def test_free_spread_identity_at_zero_time():
-    assert free_spread_width(1e-6, 0.0, 9.1093837015e-31) == 1e-6
-
-
-def test_free_spread_reference_values():
-    m_e = 9.1093837015e-31
-    assert free_spread_width(200e-9, 2e-8, m_e) == pytest.approx(5.791835969002182e-06, rel=1e-12)
-    relative = free_spread_width(10e-6, 2e-8, m_e) / 10e-6 - 1.0
-    assert relative == pytest.approx(6.700848271523618e-05, rel=1e-9)
-
-
-@given(st.floats(1e-8, 1e-4), st.floats(1e-10, 1e-5))
-def test_free_spread_monotone_and_asymptotic(width0, t):
-    m_e = 9.1093837015e-31
-    hbar = 1.054571817e-34
-    now = free_spread_width(width0, t, m_e)
-    later = free_spread_width(width0, 2.0 * t, m_e)
-    assert later >= now >= width0
-    t_long = 1e9 * (2.0 * m_e * width0 * width0 / hbar)
-    asymptote = hbar * t_long / (2.0 * m_e * width0)
-    assert free_spread_width(width0, t_long, m_e) == pytest.approx(asymptote, rel=1e-9)
-
-
-def test_free_spread_validation():
-    with pytest.raises(ValueError):
-        free_spread_width(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        free_spread_width(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        free_spread_width(1.0, 1.0, 0.0)
