@@ -11,7 +11,9 @@ marginal densities and their direct/interference split, post-selected mean
 momenta (in two overlap conventions), the branch amplitudes of all four
 exit-port pairs, per-port probabilities and means, the unconditioned
 momentum balance, and the reduced one-electron states expressed in the
-non-orthogonal basis {unkicked, kicked}.
+non-orthogonal basis {unkicked, kicked}.  Each of these is a thin wrapper
+over one array-native engine, :class:`TwoBranchState`: the free amplitude,
+the kicked amplitude and the overlap of the two branches.
 
 The single-packet overlap is I = exp(-delta^2 / 4 W^2); the two-electron
 branch overlap is I^2.  The post-selected mean of electron 1,
@@ -44,6 +46,7 @@ from .core import (
 __all__ = [
     "packet_overlap",
     "branch_overlap",
+    "TwoBranchState",
     "postselect_norm",
     "term_decomposition",
     "marginal_density",
@@ -53,6 +56,7 @@ __all__ = [
     "mean_surface",
     "BranchAmplitudes",
     "PortAmplitudes",
+    "port_states",
     "port_amplitudes",
     "port_probabilities",
     "port_mean_momenta",
@@ -81,26 +85,95 @@ def branch_overlap(params: InterferometerParams) -> float:
     return ov * ov
 
 
+class TwoBranchState(NamedTuple):
+    """The two-branch state  a |Phi>|Phi> + b |Phi^->|Phi^+>  behind every conditional quantity.
+
+    ``free`` (a) and ``kicked`` (b) are complex amplitudes; ``overlap`` is
+    the packet overlap I, which weights the one-electron cross term, and
+    ``branch_overlap`` the overlap of the two joint branches (I^2, or I in
+    the single-overlap convention), which enters the norm and the flux.
+    Fields may be scalars or broadcastable arrays.  Every quantity is
+    written once, in real arithmetic, so a state evaluated alone and the
+    same state inside an array give bit-identical results.
+    """
+
+    free: complex | np.ndarray
+    kicked: complex | np.ndarray
+    overlap: float | np.ndarray
+    branch_overlap: float | np.ndarray
+
+    def gram(self):
+        """Gram coefficients (|a|^2, |b|^2, Re(a* b))."""
+        ar, ai, br, bi = self.free.real, self.free.imag, self.kicked.real, self.kicked.imag
+        return ar * ar + ai * ai, br * br + bi * bi, ar * br + ai * bi
+
+    def norm(self):
+        """Probability of the state: |a|^2 + |b|^2 + 2 Re(a* b) times the branch overlap."""
+        aa, bb, ab = self.gram()
+        return (aa + bb) + 2.0 * ab * self.branch_overlap
+
+    def flux(self, kick):
+        """P <p> of an electron whose kicked packet sits at ``kick``; vanishes with P at dark states."""
+        ar, ai, br, bi = self.free.real, self.free.imag, self.kicked.real, self.kicked.imag
+        g = self.branch_overlap
+        return kick * br * (br + ar * g) + kick * bi * (bi + ai * g)
+
+    def mean(self, kick):
+        """Conditional mean momentum, flux / norm; exact zeros where the norm is dark."""
+        norm = self.norm()
+        lit = norm > DARK_THRESHOLD
+        return np.where(lit, self.flux(kick) / np.where(lit, norm, 1.0), 0.0)
+
+    def terms(self, f0, f1):
+        """Direct and interference terms of the unnormalised density of an electron with packets f0, f1."""
+        aa, bb, ab = self.gram()
+        return aa * (f0 * f0) + bb * (f1 * f1), 2.0 * self.overlap * ab * f0 * f1
+
+    def density(self, f0, f1):
+        """One electron's unnormalised density: the sum of :meth:`terms`."""
+        direct, cross = self.terms(f0, f1)
+        return direct + cross
+
+    def coefficients(self) -> np.ndarray:
+        """Reduced one-electron coefficients [[|a|^2, I a b*], [I a* b, |b|^2]] on the last two axes."""
+        aa, bb, ab = self.gram()
+        ab_imag = self.free.real * self.kicked.imag - self.free.imag * self.kicked.real
+        off = self.overlap * (ab - 1j * ab_imag)
+        return _matrix(aa + 0j, off, np.conj(off), bb + 0j)
+
+
+def _matrix(m00, m01, m10, m11) -> np.ndarray:
+    """2x2 matrices stacked on the last two axes."""
+    return np.stack([np.stack(np.broadcast_arrays(m00, m01), -1), np.stack(np.broadcast_arrays(m10, m11), -1)], -2)
+
+
+def _postselected(params: InterferometerParams) -> TwoBranchState:
+    """The post-selected (DC) state scaled to a = 1: b = cos(phi) e^{i alpha}."""
+    i1 = packet_overlap(params.delta, params.width)
+    return TwoBranchState(1.0, math.cos(params.phi) * cmath.exp(1j * params.alpha), i1, i1 * i1)
+
+
+def _lit_norm(state: TwoBranchState, message: str) -> float:
+    """The state's norm; DarkPortError(message) where it is dark."""
+    norm = float(state.norm())
+    if norm <= DARK_THRESHOLD:
+        raise DarkPortError(message.format(norm=norm))
+    return norm
+
+
+def _density(state: TwoBranchState, params: InterferometerParams, electron: int, p, normalized: bool, dark: str):
+    """One electron's density in ``state``; normalising a dark state raises DarkPortError(dark)."""
+    dens = state.density(params.packet()(p), params.kicked_packet(electron)(p))
+    return dens / _lit_norm(state, dark) if normalized else dens
+
+
 def postselect_norm(params: InterferometerParams) -> float:
     """Quadrature norm of the unnormalised post-selected marginal.
 
     N = 1 + cos^2(phi) + 2 cos(phi) cos(alpha) I^2.  Vanishes only for the
     dark combinations (delta = 0 with destructive phases).
     """
-    c = math.cos(params.phi)
-    return 1.0 + c * c + 2.0 * c * math.cos(params.alpha) * branch_overlap(params)
-
-
-def _density_terms(params: InterferometerParams, electron: int, p):
-    """Direct and interference contributions to the unnormalised marginal."""
-    shift = -kick_sign(electron) * params.delta  # evaluate base at p + delta for e1, p - delta for e2
-    base = params.packet()
-    f0 = base(p)
-    f1 = base(p + shift)
-    c = math.cos(params.phi)
-    direct = f0 * f0 + (c * c) * (f1 * f1)
-    cross = 2.0 * packet_overlap(params.delta, params.width) * c * math.cos(params.alpha) * f0 * f1
-    return direct, cross
+    return float(_postselected(params).norm())
 
 
 def term_decomposition(params: InterferometerParams, p):
@@ -110,7 +183,7 @@ def term_decomposition(params: InterferometerParams, p):
     the cross term, negative wherever cos(phi) cos(alpha) < 0.  Their sum is
     bit-identical to ``marginal_density(params, 1, p, normalized=False)``.
     """
-    return _density_terms(params, 1, p)
+    return _postselected(params).terms(params.packet()(p), params.kicked_packet(1)(p))
 
 
 def marginal_density(params: InterferometerParams, electron: int, p, normalized: bool = False):
@@ -120,16 +193,8 @@ def marginal_density(params: InterferometerParams, electron: int, p, normalized:
     ``normalized`` the result integrates to one; a dark post-selection
     raises :class:`DarkPortError` instead of dividing by ~0.
     """
-    direct, cross = _density_terms(params, electron, p)
-    dens = direct + cross
-    if normalized:
-        norm = postselect_norm(params)
-        if norm <= DARK_THRESHOLD:
-            raise DarkPortError(
-                f"post-selected probability vanishes (norm {norm:.3e}); density undefined"
-            )
-        dens = dens / norm
-    return dens
+    dark = "post-selected probability vanishes (norm {norm:.3e}); density undefined"
+    return _density(_postselected(params), params, electron, p, normalized, dark)
 
 
 def mean_postselected(params: InterferometerParams, electron: int = 1) -> float:
@@ -138,11 +203,9 @@ def mean_postselected(params: InterferometerParams, electron: int = 1) -> float:
     Uses the branch overlap I^2, the form consistent with integrating the
     marginal density.  The electron-2 value is the exact negation.
     """
-    norm = postselect_norm(params)
-    if norm <= DARK_THRESHOLD:
-        raise DarkPortError(f"post-selected probability vanishes (norm {norm:.3e}); mean undefined")
-    c = math.cos(params.phi)
-    return kick_sign(electron) * params.delta * c * (c + math.cos(params.alpha) * branch_overlap(params)) / norm
+    state = _postselected(params)
+    _lit_norm(state, "post-selected probability vanishes (norm {norm:.3e}); mean undefined")
+    return float(state.mean(kick_sign(electron) * params.delta))
 
 
 def mean_postselected_packet_overlap(params: InterferometerParams) -> float:
@@ -154,12 +217,10 @@ def mean_postselected_packet_overlap(params: InterferometerParams) -> float:
     the marginal density singles out the squared-overlap form, so both are
     exposed and reported side by side rather than silently reconciled.
     """
-    c = math.cos(params.phi)
     i1 = packet_overlap(params.delta, params.width)
-    norm = 1.0 + c * c + 2.0 * c * i1
-    if norm <= DARK_THRESHOLD:
-        raise DarkPortError(f"post-selected probability vanishes (norm {norm:.3e}); mean undefined")
-    return -params.delta * c * (c + i1) / norm
+    state = TwoBranchState(1.0, math.cos(params.phi), i1, i1)
+    _lit_norm(state, "post-selected probability vanishes (norm {norm:.3e}); mean undefined")
+    return float(state.mean(-params.delta))
 
 
 class MeanSurface(NamedTuple):
@@ -180,20 +241,10 @@ def mean_surface(delta_over_width, phi, alpha: float = 0.0) -> MeanSurface:
     """
     d = np.asarray(delta_over_width, dtype=float)
     c = np.cos(np.asarray(phi, dtype=float))
-    ca = math.cos(alpha)
     i1 = np.exp(-0.25 * d * d)
-    i2 = i1 * i1
-
-    norm = 1.0 + c * c + 2.0 * c * ca * i2
-    lit = norm > DARK_THRESHOLD
-    mean = np.where(lit, -d * c * (c + ca * i2) / np.where(lit, norm, 1.0), 0.0)
-
-    norm_single = 1.0 + c * c + 2.0 * c * i1
-    lit_single = norm_single > DARK_THRESHOLD
-    mean_single = np.where(
-        lit_single, -d * c * (c + i1) / np.where(lit_single, norm_single, 1.0), 0.0
-    )
-    return MeanSurface(mean, mean_single, norm)
+    state = TwoBranchState(1.0, c * cmath.exp(1j * alpha), i1, i1 * i1)
+    single = TwoBranchState(1.0, c, i1, i1)
+    return MeanSurface(state.mean(-d), single.mean(-d), state.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -225,51 +276,40 @@ class PortAmplitudes:
             yield port, self[port]
 
 
-_PATH_EXITS = "CD"
+def port_states(r, phi, alpha, delta, width=1.0) -> TwoBranchState:
+    """Two-branch states of the four exit-port pairs, broadcast over parameter arrays.
+
+    The last axis runs over the exit pairs in :class:`PortPair` order (CC,
+    CD, DC, DD).  A branch's exit amplitudes are the 2x2 matrix S P S^T,
+    indexed by the exits of electrons 1 and 2: S = [[t, i r], [i r, t]]
+    takes the paths (A, B) to the exits (C, D), and P holds the branch's
+    amplitude for each pair of paths, with the path phase common to all
+    ports divided out so that the double-transmission amplitude comes out
+    real.  Electron 1 enters the side that transmits into path A; electron 2
+    the side that reflects into A.
+    """
+    r, phi, alpha, delta = np.broadcast_arrays(r, phi, alpha, delta)
+    t = np.sqrt(1.0 - r * r)
+    split = _matrix(t, 1j * r, 1j * r, t)
+    free = _matrix(0.0, t * t, -r * r, 0.0)  # paths (A, B) and (B, A)
+    # paths (A, A) and (B, B): i r t e^{i (alpha +- phi)}, built from real parts so that arrays round like scalars
+    rt, plus, minus = r * t, alpha + phi, alpha - phi
+    kicked = _matrix(rt * (1j * np.cos(plus) - np.sin(plus)), 0.0, 0.0, rt * (1j * np.cos(minus) - np.sin(minus)))
+    shape = r.shape + (4,)
+    u = delta / width
+    i1 = np.broadcast_to(np.exp(-0.25 * u * u)[..., None], shape)
+    exits = [(split @ paths @ np.swapaxes(split, -1, -2)).reshape(shape) for paths in (free, kicked)]
+    return TwoBranchState(*exits, i1, i1 * i1)
+
+
+def _ports(params: InterferometerParams) -> TwoBranchState:
+    return port_states(params.r, params.phi, params.alpha, params.delta, params.width)
 
 
 def port_amplitudes(params: InterferometerParams) -> PortAmplitudes:
-    """Free/kicked branch coefficients at every exit-port pair.
-
-    Built by propagating the four path terms through the exit splitter
-    (A -> t C + i r D,  B -> i r C + t D) and dividing out the path phase
-    common to all ports, so the double-transmission amplitude comes out real.
-    Electron 1 enters the side that transmits into path A; electron 2 the
-    side that reflects into A.
-    """
-    r, t = params.r, params.t
-    eiphi = cmath.exp(1j * params.phi)
-    eialpha = cmath.exp(1j * params.alpha)
-    # (path of e1, path of e2, coefficient, kicked branch?)
-    terms = (
-        ("A", "A", (1j * r * t) * eiphi * eiphi * eialpha, True),
-        ("B", "B", (1j * r * t) * eialpha, True),
-        ("A", "B", complex(t * t) * eiphi, False),
-        ("B", "A", complex(-r * r) * eiphi, False),
-    )
-    bs = {
-        ("A", "C"): complex(t),
-        ("A", "D"): 1j * r,
-        ("B", "C"): 1j * r,
-        ("B", "D"): complex(t),
-    }
-    acc: dict[tuple[str, bool], complex] = {
-        (e1 + e2, kicked): 0j for e1 in _PATH_EXITS for e2 in _PATH_EXITS for kicked in (False, True)
-    }
-    for path1, path2, coeff, kicked in terms:
-        for e1 in _PATH_EXITS:
-            for e2 in _PATH_EXITS:
-                acc[e1 + e2, kicked] += coeff * bs[path1, e1] * bs[path2, e2]
-    pairs = {
-        port: BranchAmplitudes(free=acc[port.name, False] / eiphi, kicked=acc[port.name, True] / eiphi)
-        for port in PortPair
-    }
-    return PortAmplitudes(pairs[PortPair.CC], pairs[PortPair.CD], pairs[PortPair.DC], pairs[PortPair.DD])
-
-
-def _gram_norm(amp: BranchAmplitudes, i2: float) -> float:
-    a, b = amp.free, amp.kicked
-    return abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a.conjugate() * b).real * i2
+    """Free/kicked branch coefficients at every exit-port pair (see :func:`port_states`)."""
+    states = _ports(params)
+    return PortAmplitudes(*(BranchAmplitudes(complex(a), complex(b)) for a, b in zip(states.free, states.kicked)))
 
 
 def port_probabilities(params: InterferometerParams) -> dict[PortPair, float]:
@@ -278,15 +318,7 @@ def port_probabilities(params: InterferometerParams) -> dict[PortPair, float]:
     Each is the Gram norm |a|^2 + |b|^2 + 2 Re(a* b) I^2 of a two-branch
     state whose branches overlap by I per electron.
     """
-    i2 = branch_overlap(params)
-    return {port: _gram_norm(amp, i2) for port, amp in port_amplitudes(params).items()}
-
-
-def _port_momentum_flux(params: InterferometerParams, amp: BranchAmplitudes, electron: int) -> float:
-    # P_jk * <p>_jk for one port; finite even where P_jk -> 0.
-    a, b = amp.free, amp.kicked
-    i2 = branch_overlap(params)
-    return kick_sign(electron) * params.delta * (abs(b) ** 2 + (a.conjugate() * b).real * i2)
+    return dict(zip(PortPair, _ports(params).norm().tolist()))
 
 
 def port_mean_momenta(params: InterferometerParams, electron: int) -> dict[PortPair, float | None]:
@@ -295,16 +327,9 @@ def port_mean_momenta(params: InterferometerParams, electron: int) -> dict[PortP
     The DC entry reproduces :func:`mean_postselected`; the electron-2 map is
     the portwise negation of electron 1's.
     """
-    kick_sign(electron)  # validate index
-    i2 = branch_overlap(params)
-    out: dict[PortPair, float | None] = {}
-    for port, amp in port_amplitudes(params).items():
-        prob = _gram_norm(amp, i2)
-        if prob <= DARK_THRESHOLD:
-            out[port] = None
-        else:
-            out[port] = _port_momentum_flux(params, amp, electron) / prob
-    return out
+    states = _ports(params)
+    probs, means = states.norm().tolist(), states.mean(kick_sign(electron) * params.delta).tolist()
+    return {port: None if prob <= DARK_THRESHOLD else mean for port, prob, mean in zip(PortPair, probs, means)}
 
 
 def port_marginal_density(params: InterferometerParams, port: PortPair, electron: int, p, normalized: bool = True):
@@ -314,20 +339,10 @@ def port_marginal_density(params: InterferometerParams, port: PortPair, electron
     CC at a balanced splitter isolates the purely kicked branch (the free
     amplitude vanishes there), giving the displaced packet density.
     """
-    amp = port_amplitudes(params)[port]
-    a, b = amp.free, amp.kicked
-    base = params.packet()
-    kicked = params.kicked_packet(electron)
-    f0 = base(p)
-    f1 = kicked(p)
-    i1 = packet_overlap(params.delta, params.width)
-    dens = (abs(a) ** 2) * f0 * f0 + (abs(b) ** 2) * f1 * f1 + 2.0 * (a.conjugate() * b).real * i1 * f0 * f1
-    if normalized:
-        prob = _gram_norm(amp, i1 * i1)
-        if prob <= DARK_THRESHOLD:
-            raise DarkPortError(f"port {port.name} has zero probability; conditional density undefined")
-        dens = dens / prob
-    return dens
+    k = list(PortPair).index(port)
+    state = TwoBranchState(*(field[k] for field in _ports(params)))
+    dark = f"port {port.name} has zero probability; conditional density undefined"
+    return _density(state, params, electron, p, normalized, dark)
 
 
 class EhrenfestBalance(NamedTuple):
@@ -347,8 +362,7 @@ def ehrenfest_check(params: InterferometerParams) -> EhrenfestBalance:
     """
     rt = params.r * params.t
     closed = -2.0 * rt * rt * params.delta
-    weighted = sum(_port_momentum_flux(params, amp, 1) for _, amp in port_amplitudes(params).items())
-    return EhrenfestBalance(closed, weighted)
+    return EhrenfestBalance(closed, float(_ports(params).flux(-params.delta).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +373,28 @@ def ehrenfest_check(params: InterferometerParams) -> EhrenfestBalance:
 class ReducedState:
     """One-electron state in the non-orthogonal basis (unkicked, kicked).
 
-    ``coeff`` is the Hermitian coefficient matrix M of
+    The partial trace of the two-branch state ``branches`` over the other
+    electron.  ``coeff`` is the Hermitian coefficient matrix M of
     rho = sum_ij M_ij |b_i><b_j| and ``gram`` the basis Gram matrix
     [[1, I], [I, 1]]; traces and purity follow from M G exactly, without any
     discretisation.
     """
 
-    coeff: np.ndarray
-    gram: np.ndarray
+    branches: TwoBranchState
     electron: int
     basis: tuple[GaussianPacket, GaussianPacket]
 
+    @property
+    def coeff(self) -> np.ndarray:
+        return self.branches.coefficients()
+
+    @property
+    def gram(self) -> np.ndarray:
+        return _matrix(1.0, self.branches.overlap, self.branches.overlap, 1.0)
+
     def trace(self) -> float:
-        return float(np.trace(self.coeff @ self.gram).real)
+        """tr(M G), which is the norm of the two-branch state."""
+        return float(self.branches.norm())
 
     def purity(self) -> float:
         """tr(rho^2) / tr(rho)^2 = tr((M G)^2) / tr(M G)^2, in (0, 1]."""
@@ -381,21 +404,12 @@ class ReducedState:
 
     def density(self, p, normalized: bool = True):
         """Diagonal kernel rho(p, p); agrees pointwise with the marginal density."""
-        b0 = self.basis[0](p)
-        b1 = self.basis[1](p)
-        m = self.coeff
-        dens = m[0, 0].real * b0 * b0 + m[1, 1].real * b1 * b1 + 2.0 * m[0, 1].real * b0 * b1
+        dens = self.branches.density(self.basis[0](p), self.basis[1](p))
         return dens / self.trace() if normalized else dens
 
 
 def reduced_state(params: InterferometerParams, electron: int) -> ReducedState:
     """Partial trace of the post-selected joint state over the other electron."""
-    c = math.cos(params.phi)
-    i1 = packet_overlap(params.delta, params.width)
-    off = i1 * c * cmath.exp(-1j * params.alpha)
-    coeff = np.array([[1.0 + 0j, off], [off.conjugate(), c * c + 0j]])
-    gram = np.array([[1.0, i1], [i1, 1.0]])
-    state = ReducedState(coeff, gram, electron, (params.packet(), params.kicked_packet(electron)))
-    if state.trace() <= DARK_THRESHOLD:
-        raise DarkPortError("post-selected probability vanishes; reduced state undefined")
-    return state
+    branches = _postselected(params)
+    _lit_norm(branches, "post-selected probability vanishes; reduced state undefined")
+    return ReducedState(branches, electron, (params.packet(), params.kicked_packet(electron)))

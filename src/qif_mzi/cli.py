@@ -37,6 +37,15 @@ MODES = ("distributions", "decompose", "sweep", "ports", "design", "verify")
 _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alpha) working point
 _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D momentum grids
 
+# Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
+# a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 complex samples (67 MB), a DFT of 2^20
+# points, and a sweep of 10^6 rows (four times the 501 x 501 sweep, which peaks at about 200 MB).
+MAX_GRID_POINTS = 2**20 + 1
+MAX_JOINT_GRID_POINTS = 2049
+MAX_KICK_POINTS = 2**20
+MAX_SWEEP_ROWS = 10**6
+MAX_PORT_DRAWS = 10**5  # the port-sum suite holds every draw's 2x2 exit matrices at once
+
 # Range checks: (predicate, requirement); a failing value reports "<requirement>, got <value>".
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
@@ -45,12 +54,16 @@ _SWEEP_STEPS = (lambda n: n >= 2, "sweep needs at least 2 steps")
 _AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
 
 
-def _key(default, help_text: str, *, required=(), optional=(), check=None):
+def _at_most(limit: int):
+    return (lambda n: n <= limit, f"must be <= {limit}")
+
+
+def _key(default, help_text: str, *, required=(), optional=(), checks=()):
     """One configuration key: default, ``--help`` text, the modes that require
-    or allow it, and its range check.  The value type is the field annotation."""
+    or allow it, and its range checks in order.  The value type is the field annotation."""
     return field(
         default=default,
-        metadata={"help": help_text, "required": required, "optional": optional, "check": check},
+        metadata={"help": help_text, "required": required, "optional": optional, "checks": checks},
     )
 
 
@@ -66,46 +79,47 @@ class RunConfig:
     mode: str = _key(MISSING, "one of: " + ", ".join(MODES))
     out: str | None = _key(None, "output file path", optional=MODES)
     format: str = _key("csv", "csv or json", optional=MODES,
-                       check=(lambda v: v in ("csv", "json"), "expected csv or json"))
+                       checks=((lambda v: v in ("csv", "json"), "expected csv or json"),))
     r: float = _key(BALANCED_R, "splitter reflection magnitude in [0, 1] (default balanced)",
-                    optional=("distributions", "ports"), check=(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
-    width: float = _key(1.0, "packet momentum width W (default 1)", optional=_POINT_MODES, check=_POSITIVE)
+                    optional=("distributions", "ports"), checks=((lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),))
+    width: float = _key(1.0, "packet momentum width W (default 1)", optional=_POINT_MODES, checks=(_POSITIVE,))
     delta_over_w: float | None = _key(None, "momentum kick in units of W", required=_POINT_MODES,
-                                      check=_NON_NEGATIVE)
+                                      checks=(_NON_NEGATIVE,))
     phi: float | None = _key(None, "path phase, radians ('pi' suffix allowed)", required=_POINT_MODES)
     alpha: float = _key(0.0, "interaction phase, radians", required=_POINT_MODES, optional=("sweep",))
     port: str = _key("dc", "post-selected exit pair: cc, cd, dc or dd (default dc)", optional=("distributions",),
-                     check=(lambda v: v in tuple(p.value for p in PortPair), "expected one of cc, cd, dc, dd"))
+                     checks=((lambda v: v in tuple(p.value for p in PortPair), "expected one of cc, cd, dc, dd"),))
     grid_span: float = _key(8.0, "half-width of report grids in units of W (default 8)", optional=_GRID_MODES,
-                            check=_POSITIVE)
+                            checks=(_POSITIVE,))
     grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd (default 2001)",
-                            optional=_GRID_MODES, check=_ODD_GRID)
+                            optional=_GRID_MODES, checks=(_ODD_GRID, _at_most(MAX_GRID_POINTS)))
     joint_grid_points: int = _key(numeric.DEFAULT_JOINT_POINTS,
                                   "two-particle oracle grid points per axis, odd (default 513)",
-                                  optional=("verify",), check=_ODD_GRID)
+                                  optional=("verify",), checks=(_ODD_GRID, _at_most(MAX_JOINT_GRID_POINTS)))
     kick_points: int = _key(numeric.DEFAULT_KICK_POINTS, "DFT size of the kick oracle (default 4096)",
-                            optional=("verify",), check=(lambda n: n >= 16, "must be >= 16"))
-    delta_over_w_min: float | None = _key(None, "sweep start of delta/W", required=("sweep",), check=_NON_NEGATIVE)
+                            optional=("verify",),
+                            checks=((lambda n: n >= 16, "must be >= 16"), _at_most(MAX_KICK_POINTS)))
+    delta_over_w_min: float | None = _key(None, "sweep start of delta/W", required=("sweep",), checks=(_NON_NEGATIVE,))
     delta_over_w_max: float | None = _key(None, "sweep end of delta/W", required=("sweep",))
     delta_over_w_steps: int | None = _key(None, "sweep points along delta/W (>= 2)", required=("sweep",),
-                                          check=_SWEEP_STEPS)
+                                          checks=(_SWEEP_STEPS,))
     phi_min: float | None = _key(None, "sweep start of phi, radians", required=("sweep",))
     phi_max: float | None = _key(None, "sweep end of phi, radians", required=("sweep",))
-    phi_steps: int | None = _key(None, "sweep points along phi (>= 2)", required=("sweep",), check=_SWEEP_STEPS)
-    separation_m: float | None = _key(None, "beam separation d, metres", required=("design",), check=_POSITIVE)
-    length_m: float | None = _key(None, "interferometer length L, metres", required=("design",), check=_POSITIVE)
-    speed_m_per_s: float | None = _key(None, "longitudinal speed v, m/s", required=("design",), check=_POSITIVE)
+    phi_steps: int | None = _key(None, "sweep points along phi (>= 2)", required=("sweep",), checks=(_SWEEP_STEPS,))
+    separation_m: float | None = _key(None, "beam separation d, metres", required=("design",), checks=(_POSITIVE,))
+    length_m: float | None = _key(None, "interferometer length L, metres", required=("design",), checks=(_POSITIVE,))
+    speed_m_per_s: float | None = _key(None, "longitudinal speed v, m/s", required=("design",), checks=(_POSITIVE,))
     waist_transverse_m: float | None = _key(None, "transverse beam waist, metres", required=("design",),
-                                            check=_POSITIVE)
+                                            checks=(_POSITIVE,))
     waist_longitudinal_m: float | None = _key(None, "initial longitudinal width, metres", required=("design",),
-                                              check=_POSITIVE)
+                                              checks=(_POSITIVE,))
     tune_target_n: int | None = _key(None, "request |alpha| = 2 pi n at the tuned separation",
-                                     optional=("design",), check=(lambda n: n >= 1, "must be a positive integer"))
-    seed: int = _key(12345, "random seed for the verification draws", optional=("verify",), check=_NON_NEGATIVE)
+                                     optional=("design",), checks=((lambda n: n >= 1, "must be a positive integer"),))
+    seed: int = _key(12345, "random seed for the verification draws", optional=("verify",), checks=(_NON_NEGATIVE,))
     draws_marginal: int = _key(100, "parameter draws for the marginal-oracle suite", optional=("verify",),
-                               check=_AT_LEAST_ONE)
+                               checks=(_AT_LEAST_ONE,))
     draws_ports: int = _key(1000, "parameter draws for the port-sum suites", optional=("verify",),
-                            check=_AT_LEAST_ONE)
+                            checks=(_AT_LEAST_ONE, _at_most(MAX_PORT_DRAWS)))
 
     def model_params(self) -> InterferometerParams:
         return InterferometerParams(
@@ -229,15 +243,26 @@ def build_config(raw: dict[str, str], lines: dict[str, int] | None = None) -> Ru
 
     config = RunConfig(**values)
     for key, f in _KEYS.items():
-        value, check = getattr(config, key), f.metadata["check"]
-        if value is not None and check is not None and not check[0](value):
-            raise ConfigError(f"key '{key}': {check[1]}, got {value!r}", where(key))
+        value = getattr(config, key)
+        for predicate, requirement in f.metadata["checks"]:
+            if value is not None and not predicate(value):
+                raise ConfigError(f"key '{key}': {requirement}, got {value!r}", where(key))
     for lo_key, hi_key in (("delta_over_w_min", "delta_over_w_max"), ("phi_min", "phi_max")):
         lo, hi = getattr(config, lo_key), getattr(config, hi_key)
         if lo is not None and hi is not None and not lo < hi:
             raise ConfigError(
                 f"key '{hi_key}': range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})", where(hi_key)
             )
+    if config.delta_over_w is not None and not math.isfinite(config.delta_over_w * config.width):
+        raise ConfigError(
+            f"key 'delta_over_w': the kick delta_over_w * width must be finite, "
+            f"got {config.delta_over_w!r} * {config.width!r}", where("delta_over_w")
+        )
+    if config.mode == "sweep" and config.delta_over_w_steps * config.phi_steps > MAX_SWEEP_ROWS:
+        raise ConfigError(
+            f"key 'phi_steps': delta_over_w_steps * phi_steps must be <= {MAX_SWEEP_ROWS} rows, "
+            f"got {config.delta_over_w_steps} * {config.phi_steps}", where("phi_steps")
+        )
     return config
 
 

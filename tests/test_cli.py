@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qif_mzi import ConfigError, numeric
+from qif_mzi import ConfigError, GaussianPacket, InterferometerParams, PortPair, analytic, numeric
 from qif_mzi.cli import build_config, execute, main, parse_config, write_table
 
 REPO = Path(__file__).resolve().parent.parent
@@ -362,8 +367,28 @@ _RANGE_ERRORS = [
 ]
 
 
+# upper bounds on allocation sizes and the overflowing kick: (id, document, key, value, line, message)
+_LIMIT_ERRORS = [
+    ("grid_points-max", FIG2C_TEXT, "grid_points", "1048579", 5, "key 'grid_points': must be <= 1048577, got 1048579"),
+    ("joint_grid_points-max", "mode = verify\n", "joint_grid_points", "2051", 2,
+     "key 'joint_grid_points': must be <= 2049, got 2051"),
+    ("kick_points-max", "mode = verify\n", "kick_points", "1048577", 2,
+     "key 'kick_points': must be <= 1048576, got 1048577"),
+    ("draws_ports-max", "mode = verify\n", "draws_ports", "100001", 2,
+     "key 'draws_ports': must be <= 100000, got 100001"),
+    ("sweep-rows-max", _SWEEP.replace("phi_steps = 5\n", ""), "phi_steps", "200001", 7,
+     "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 5 * 200001"),
+    ("sweep-steps-max", _SWEEP.replace("delta_over_w_steps = 5\n", ""), "delta_over_w_steps", "100000000000", 6,
+     "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
+    ("kick-overflow", "mode = ports\nphi = 0\nalpha = 0\nwidth = 1e200\n", "delta_over_w", "1e200", 5,
+     "key 'delta_over_w': the kick delta_over_w * width must be finite, got 1e+200 * 1e+200"),
+]
+
+
 @pytest.mark.parametrize(
-    "base, key, value, line, message", _RANGE_ERRORS, ids=[case[1] for case in _RANGE_ERRORS]
+    "base, key, value, line, message",
+    _RANGE_ERRORS + [case[1:] for case in _LIMIT_ERRORS],
+    ids=[case[1] for case in _RANGE_ERRORS] + [case[0] for case in _LIMIT_ERRORS],
 )
 def test_main_range_error_wording(base, key, value, line, message, tmp_path, capsys):
     config_file = tmp_path / "bad.cfg"
@@ -372,6 +397,61 @@ def test_main_range_error_wording(base, key, value, line, message, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err == f"qif-mzi: config error: line {line}: {message}\n"
     assert captured.out == ""
+
+
+@st.composite
+def point_runs(draw):
+    """Accepted ``distributions`` and ``ports`` runs: (argv, params, port, grid in units of W or None)."""
+    mode = draw(st.sampled_from(["distributions", "ports"]))
+    r, width = draw(st.floats(0.0, 1.0)), draw(st.floats(0.25, 4.0))
+    delta_over_w, phi, alpha = draw(st.floats(0.0, 6.0)), draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+    argv = [mode, f"--r={r!r}", f"--width={width!r}", f"--delta-over-w={delta_over_w!r}", f"--phi={phi!r}",
+            f"--alpha={alpha!r}"]
+    params = InterferometerParams(r, phi, alpha, delta_over_w * width, width)
+    if mode == "ports":
+        return argv, params, None, None
+    port = draw(st.sampled_from(list(PortPair)))
+    span = draw(st.floats(5.0, 16.0))
+    # spacing <= W / 4, where Simpson's error on these Gaussians is far below the tail budget
+    n = 2 * draw(st.integers(math.ceil(4.0 * span), 400)) + 1
+    argv += [f"--port={port.value}", f"--grid-span={span!r}", f"--grid-points={n}"]
+    return argv, params, port, numeric.MomentumGrid(-span, span, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_runs())
+def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
+    argv, params, port, grid = run
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "table.json"
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--format", "json", "--out", str(out)])
+        if code == 1:
+            assert stderr.getvalue().startswith("qif-mzi: error: ") and not out.exists()
+            return
+        assert code == 0 and stderr.getvalue() == ""
+        rows = json.loads(out.read_text())
+    numbers = np.array([[cell for cell in row.values() if not isinstance(cell, str)] for row in rows], dtype=float)
+    assert np.all(np.isfinite(numbers))
+    if grid is None:
+        return
+    # Quadrature mean of the emitted density against the closed form, in units of W.  Each
+    # branch's analytic mass outside the grid is at most `tail`; normalising by the port
+    # probability scales it, and the rounding floor, by at most `gain` (large only near dark ports).
+    p, dens = numbers[:, 0], numbers[:, 1]
+    w = grid.simpson_weights()
+    quad = float((w @ (p * dens)) / (w @ dens))
+    closed = analytic.port_mean_momenta(params, 1)[port] / params.width
+    amp = analytic.port_amplitudes(params)[port]
+    i2 = analytic.branch_overlap(params)
+    gain = (abs(amp.free) ** 2 + abs(amp.kicked) ** 2 + 2.0 * i2 * abs(amp.free * amp.kicked)) / (
+        analytic.port_probabilities(params)[port]
+    )
+    d = params.delta_over_width
+    tail = max(grid.tail_mass(GaussianPacket(1.0, center)) for center in (0.0, -d, d))
+    bound = gain * (3.0 * (grid.p_max + 1.0 + abs(closed)) * tail + 1e-13 * (grid.p_max + 1.0))
+    assert abs(quad - closed) <= bound
 
 
 def test_main_unwritable_output(capsys):
