@@ -134,6 +134,13 @@ class TwoBranchState(NamedTuple):
         direct, cross = self.terms(f0, f1)
         return direct + cross
 
+    def purity(self):
+        """Purity of either electron's reduced state: 1 - 2 |a|^2 |b|^2 (1 - I^2)^2 / N^2, at most 1 by construction."""
+        aa, bb, _ = self.gram()
+        norm = self.norm()
+        loss = 1.0 - self.overlap * self.overlap
+        return 1.0 - 2.0 * aa * bb * (loss * loss) / (norm * norm)
+
     def coefficients(self) -> np.ndarray:
         """Reduced one-electron coefficients [[|a|^2, I a b*], [I a* b, |b|^2]] on the last two axes."""
         aa, bb, ab = self.gram()
@@ -376,8 +383,8 @@ class ReducedState:
     The partial trace of the two-branch state ``branches`` over the other
     electron.  ``coeff`` is the Hermitian coefficient matrix M of
     rho = sum_ij M_ij |b_i><b_j| and ``gram`` the basis Gram matrix
-    [[1, I], [I, 1]]; traces and purity follow from M G exactly, without any
-    discretisation.
+    [[1, I], [I, 1]]; the trace of M G is the state's norm, and the purity
+    follows from the two-branch state exactly, without any discretisation.
     """
 
     branches: TwoBranchState
@@ -397,10 +404,8 @@ class ReducedState:
         return float(self.branches.norm())
 
     def purity(self) -> float:
-        """tr(rho^2) / tr(rho)^2 = tr((M G)^2) / tr(M G)^2, in (0, 1]."""
-        mg = self.coeff @ self.gram
-        tr = np.trace(mg).real
-        return float(np.trace(mg @ mg).real / (tr * tr))
+        """tr(rho^2) / tr(rho)^2, in [1/2, 1]; see :meth:`TwoBranchState.purity`."""
+        return float(self.branches.purity())
 
     def density(self, p, normalized: bool = True):
         """Diagonal kernel rho(p, p); agrees pointwise with the marginal density."""

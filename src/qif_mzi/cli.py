@@ -3,8 +3,9 @@
 Configuration is a flat ``key = value`` document ('#' starts a comment, one
 pair per line); command-line flags override file values, and unknown keys
 fail closed.  Float values accept a ``pi`` suffix (``0.75pi`` -> 3 pi / 4).
-Tables are written as CSV (17 significant digits, '\\n' endings) or JSON
-(array of objects); identical configurations produce byte-identical files.
+Each mode returns one table of typed columns, written as CSV (17 significant
+digits, '\\n' endings) or JSON (array of objects); identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     PortPair,
 )
 
-__all__ = ["RunConfig", "RunResult", "parse_config", "execute", "write_table", "main", "app"]
+__all__ = ["RunConfig", "RunResult", "typed_table", "parse_config", "execute", "write_table", "main", "app"]
 
 MODES = ("distributions", "decompose", "sweep", "ports", "design", "verify")
 
@@ -152,10 +153,30 @@ def _mode_keys(mode: str, *roles: str) -> list[str]:
 
 @dataclass
 class RunResult:
-    columns: list[str]
-    rows: list[tuple]
+    rows: np.ndarray  # one typed field per column, see typed_table
     summary: list[str] = field(default_factory=list)
     exit_code: int = 0
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.rows.dtype.names)
+
+
+def typed_table(columns: dict[str, object]) -> np.ndarray:
+    """One table from an ordered ``{column name: values}`` mapping.
+
+    The table is a numpy structured array whose fields are float64, int64 or str, as numpy infers
+    them from each column's values.  Columns of unequal length are refused: assignment would
+    broadcast a length-1 column silently.
+    """
+    arrays = {name: np.asarray(values) for name, values in columns.items()}
+    shapes = [a.shape for a in arrays.values()]
+    if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"table columns must be 1D and of equal length, got shapes {shapes}")
+    rows = np.empty(shapes[0], dtype=[(name, a.dtype) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        rows[name] = a
+    return rows
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -307,11 +328,13 @@ def _run_distributions(config: RunConfig) -> RunResult:
         dens1 = analytic.port_marginal_density(params, port, 1, p)
         dens2 = analytic.port_marginal_density(params, port, 2, p)
     w = params.width
-    rows = [(float(pi / w), float(d1 * w), float(d2 * w)) for pi, d1, d2 in zip(p, dens1, dens2)]
-    quad_mean = grid.density_mean(dens1) / w
+    rows = typed_table({"p_over_W": p / w, "P1_times_W": dens1 * w, "P2_times_W": dens2 * w})
+    alias = grid.alias_bound(w)  # the table holds exact samples at any spacing; only the quadrature needs more
+    quad_mean = (f"unresolved (spacing h = {grid.spacing / w:g} W, alias bound {alias:.1e} > {numeric.TAIL_BUDGET:g})"
+                 if alias > numeric.TAIL_BUDGET else f"{grid.density_mean(dens1) / w:+.6f}")
     summary = [
         f"distributions mode: port {port.name}, {_fmt_params(params)}",
-        f"  mean p1/W from quadrature of the emitted density: {quad_mean:+.6f}",
+        f"  mean p1/W from quadrature of the emitted density: {quad_mean}",
     ]
     if port is PortPair.DC:
         closed = analytic.mean_postselected(params, 1) / w
@@ -324,7 +347,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
     else:
         mean = analytic.port_mean_momenta(params, 1)[port]
         summary.append(f"  mean p1/W, closed form for port {port.name}: {mean / w:+.6f}")
-    return RunResult(["p_over_W", "P1_times_W", "P2_times_W"], rows, summary)
+    return RunResult(rows, summary)
 
 
 def _run_decompose(config: RunConfig) -> RunResult:
@@ -333,37 +356,28 @@ def _run_decompose(config: RunConfig) -> RunResult:
     p = grid.points
     direct, cross = analytic.term_decomposition(params, p)
     w = params.width
-    rows = [
-        (float(pi / w), float(ta * w), float(tb * w), float((ta + tb) * w))
-        for pi, ta, tb in zip(p, direct, cross)
-    ]
+    rows = typed_table({"p_over_W": p / w, "T_a_times_W": direct * w, "T_b_times_W": cross * w,
+                        "P1_unnormalized_times_W": (direct + cross) * w})
     summary = [
         f"decompose mode: {_fmt_params(params)}",
         f"  post-selection norm N = {analytic.postselect_norm(params):.6f}",
         f"  interference term minimum: {float(np.min(cross)) * w:+.6f} (units 1/W)",
         f"  direct term is non-negative: min {float(np.min(direct)) * w:.3e}",
     ]
-    return RunResult(
-        ["p_over_W", "T_a_times_W", "T_b_times_W", "P1_unnormalized_times_W"], rows, summary
-    )
+    return RunResult(rows, summary)
 
 
 def _run_sweep(config: RunConfig) -> RunResult:
     deltas = np.linspace(config.delta_over_w_min, config.delta_over_w_max, config.delta_over_w_steps)
     phis = np.linspace(config.phi_min, config.phi_max, config.phi_steps)
     surface = analytic.mean_surface(deltas[:, None], phis[None, :], config.alpha)
-    rows = []
-    for i in range(deltas.size):  # row-major: delta outer, phi inner
-        for j in range(phis.size):
-            rows.append(
-                (
-                    float(deltas[i]),
-                    float(phis[j]),
-                    float(surface.mean[i, j]),
-                    float(surface.mean_single_overlap[i, j]),
-                    float(surface.norm[i, j]),
-                )
-            )
+    rows = typed_table({  # row-major: delta outer, phi inner
+        "delta_over_W": np.repeat(deltas, phis.size),
+        "phi_rad": np.tile(phis, deltas.size),
+        "mean_p1_over_W": surface.mean.ravel(),
+        "mean_p1_single_overlap_over_W": surface.mean_single_overlap.ravel(),
+        "postselect_norm": surface.norm.ravel(),
+    })
     anomalous = surface.mean > 0.0
     count = int(np.count_nonzero(anomalous))
     summary = [
@@ -383,11 +397,7 @@ def _run_sweep(config: RunConfig) -> RunResult:
             f"  dark grid points emitted as 0 (removable limit), flagged by postselect_norm <= 1e-12: "
             f"{int(np.count_nonzero(dark))}"
         )
-    return RunResult(
-        ["delta_over_W", "phi_rad", "mean_p1_over_W", "mean_p1_single_overlap_over_W", "postselect_norm"],
-        rows,
-        summary,
-    )
+    return RunResult(rows, summary)
 
 
 def _run_ports(config: RunConfig) -> RunResult:
@@ -397,19 +407,14 @@ def _run_ports(config: RunConfig) -> RunResult:
     means1 = analytic.port_mean_momenta(params, 1)
     means2 = analytic.port_mean_momenta(params, 2)
     balance = analytic.ehrenfest_check(params)
-    rows: list[tuple] = []
-    for port in PortPair:
-        defined = means1[port] is not None
-        rows.append(
-            (
-                port.name,
-                float(probs[port]),
-                float(means1[port] / w) if defined else 0.0,
-                float(means2[port] / w) if defined else 0.0,
-                int(defined),
-            )
-        )
-    rows.append(("TOTAL", float(sum(probs.values())), balance.weighted_sum / w, -balance.weighted_sum / w, 1))
+    defined = [int(means1[port] is not None) for port in PortPair]  # a dark port's means are written as 0
+    rows = typed_table({
+        "port": [port.name for port in PortPair] + ["TOTAL"],
+        "probability": list(probs.values()) + [sum(probs.values())],
+        "mean_p1_over_W": [m / w if m is not None else 0.0 for m in means1.values()] + [balance.weighted_sum / w],
+        "mean_p2_over_W": [m / w if m is not None else 0.0 for m in means2.values()] + [-balance.weighted_sum / w],
+        "mean_defined": defined + [1],
+    })
     summary = [f"ports mode: {_fmt_params(params)}"]
     for port in PortPair:
         mean_text = f"{means1[port] / w:+.6f} W" if means1[port] is not None else "undefined (dark)"
@@ -419,9 +424,7 @@ def _run_ports(config: RunConfig) -> RunResult:
         f"  unconditioned mean of p1, closed form -2 t^2 r^2 delta: {balance.closed_form / w:+.6f} W",
         f"  unconditioned mean of p1, port-weighted sum:            {balance.weighted_sum / w:+.6f} W",
     ]
-    return RunResult(
-        ["port", "probability", "mean_p1_over_W", "mean_p2_over_W", "mean_defined"], rows, summary
-    )
+    return RunResult(rows, summary)
 
 
 def _run_design(config: RunConfig) -> RunResult:
@@ -464,8 +467,7 @@ def _run_design(config: RunConfig) -> RunResult:
         f"  tuned separation       {tuned.separation * 1e3:.4f} mm gives |alpha| = {tuned.n_multiple} x 2 pi",
     ]
     summary += ["  " + check.describe() for check in setup.validity]
-    columns, row = zip(*cells)
-    return RunResult(list(columns), [row], summary)
+    return RunResult(typed_table({name: [value] for name, value in cells}), summary)
 
 
 def _run_verify(config: RunConfig) -> RunResult:
@@ -478,17 +480,13 @@ def _run_verify(config: RunConfig) -> RunResult:
         joint_points=config.joint_grid_points,
         kick_points=config.kick_points,
     )
-    rows = [(c.name, c.max_deviation, c.tolerance, int(c.passed)) for c in checks]
+    rows = typed_table({"check": [c.name for c in checks], "max_deviation": [c.max_deviation for c in checks],
+                        "tolerance": [c.tolerance for c in checks], "passed": [int(c.passed) for c in checks]})
     summary = ["verify mode: closed forms against independent oracles"]
     summary += ["  " + c.describe() for c in checks]
     all_passed = all(c.passed for c in checks)
     summary.append(f"  overall: {'all suites passed' if all_passed else 'SUITE FAILURES PRESENT'}")
-    return RunResult(
-        ["check", "max_deviation", "tolerance", "passed"],
-        rows,
-        summary,
-        exit_code=0 if all_passed else 1,
-    )
+    return RunResult(rows, summary, exit_code=0 if all_passed else 1)
 
 
 _MODE_RUNNERS = {
@@ -510,39 +508,36 @@ def execute(config: RunConfig) -> RunResult:
 # Table writers
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.16e" % float(value)
+# Cell format of each column kind, (CSV, JSON): CSV floats keep 17 significant digits, JSON floats are
+# the shortest repr (json.dumps's own text), and JSON str cells arrive already json-quoted.
+_CELL_FORMATS = {"f": ("%.16e", "%r"), "i": ("%d", "%d"), "U": ("%s", "%s")}
 
 
-def write_table(columns: list[str], rows: list[tuple], fmt: str = "csv") -> str:
-    """Render a rectangular table; deterministic bytes for identical inputs."""
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row of length {len(row)} does not match {len(columns)} columns")
+def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> str:
+    """Render a :func:`typed_table` through one row template built from its column kinds.
+
+    Identical inputs give identical bytes; the JSON text is ``json.dumps(objects, indent=2)``
+    of the rows as objects.  Floats must be finite, since JSON cannot spell nan or inf.
+    """
+    if list(columns) != list(rows.dtype.names):
+        raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.dtype.names)}")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown table format {fmt!r}")
+    kinds = [rows.dtype[name].kind for name in columns]
+    cells = []
+    for name, kind in zip(columns, kinds):
+        if kind == "f" and not np.all(np.isfinite(rows[name])):
+            raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
+        values = rows[name].tolist()
+        cells.append(list(map(json.dumps, values)) if kind == "U" and fmt == "json" else values)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        objects = []
-        for row in rows:
-            obj = {}
-            for name, cell in zip(columns, row):
-                if isinstance(cell, (bool, np.bool_, int, np.integer)):
-                    obj[name] = int(cell)
-                elif isinstance(cell, str):
-                    obj[name] = cell
-                else:
-                    obj[name] = float(cell)
-            objects.append(obj)
-        return json.dumps(objects, indent=2) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")
+        head, sep, tail = ",".join(columns) + "\n", "\n", "\n"
+        template = ",".join(_CELL_FORMATS[kind][0] for kind in kinds)
+    else:
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        keys = (json.dumps(name).replace("%", "%%") for name in columns)
+        template = "  {\n" + ",\n".join(f"    {k}: {_CELL_FORMATS[kind][1]}" for k, kind in zip(keys, kinds)) + "\n  }"
+    return head + sep.join(template % row for row in zip(*cells)) + tail
 
 
 def _write_artifact(path: str, text: str) -> None:
@@ -578,9 +573,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_key_values(argv: list[str]) -> list[str]:
+    """``--key value`` -> ``--key=value`` for each key flag, so that argparse never reads -0.5pi as an option."""
+    flags = {"--" + key.replace("_", "-") for key in _KEYS if key != "mode"}
+    joined, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in flags else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_key_values(sys.argv[1:] if argv is None else argv))
     try:
         raw: dict[str, str] = {}
         lines: dict[str, int] = {}

@@ -124,6 +124,11 @@ class MomentumGrid:
             + math.erfc((packet.center - self.p_min) / packet.width)
         )
 
+    def alias_bound(self, width: float) -> float:
+        """Relative aliasing error bound of Simpson on a packet density of ``width``: (8/3) exp(-pi^2 W^2 / 4 h^2)."""
+        u = width / self.spacing
+        return (8.0 / 3.0) * math.exp(-0.25 * math.pi * math.pi * u * u)
+
 
 def default_grid(width: float = 1.0, span: float = DEFAULT_SPAN, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:
     """Symmetric grid spanning +-span*width."""

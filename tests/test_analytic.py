@@ -394,11 +394,24 @@ def test_purity_is_one_for_pure_corners():
 
 
 @given(params_st())
+@example(InterferometerParams(0.0, 3.1875, 0.0, 0.0, 1.0))  # norm 1.1e-6: the Gram trace route gave 1 + 2.2e-11
 def test_purity_bounds(params):
     if analytic.postselect_norm(params) <= 1e-9:
         return
     purity = analytic.reduced_state(params, 1).purity()
-    assert 0.0 < purity <= 1.0 + 1e-12
+    assert 0.0 < purity <= 1.0
+
+
+@given(params_st())
+def test_purity_closed_form_matches_gram_trace(params):
+    # reference: tr((M G)^2) / tr(M G)^2 from the coefficient and Gram matrices, whose rounding grows as 1/N
+    norm = analytic.postselect_norm(params)
+    if norm <= 1e-9:
+        return
+    state = analytic.reduced_state(params, 1)
+    mg = state.coeff @ state.gram
+    trace = np.trace(mg).real
+    assert state.purity() == pytest.approx(np.trace(mg @ mg).real / (trace * trace), abs=1e-13 / norm)
 
 
 @settings(max_examples=40)

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qif_mzi import ConfigError, GaussianPacket, InterferometerParams, PortPair, analytic, numeric
-from qif_mzi.cli import build_config, execute, main, parse_config, write_table
+from qif_mzi.cli import build_config, execute, main, parse_config, typed_table, write_table
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -102,7 +102,7 @@ def test_range_validation():
 # ---------------------------------------------------------------------------
 
 def test_csv_shape_and_precision():
-    text = write_table(["a", "b"], [(0.3, 1), (2.0, 0)], "csv")
+    text = write_table(["a", "b"], typed_table({"a": [0.3, 2.0], "b": [1, 0]}), "csv")
     lines = text.splitlines()
     assert len(lines) == 3
     assert lines[0] == "a,b"
@@ -111,14 +111,72 @@ def test_csv_shape_and_precision():
 
 
 def test_json_round_trip():
-    text = write_table(["name", "x"], [("cc", 0.5)], "json")
+    text = write_table(["name", "x"], typed_table({"name": ["cc"], "x": [0.5]}), "json")
     data = json.loads(text)
     assert data == [{"name": "cc", "x": 0.5}]
 
 
 def test_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        write_table(["a", "b"], [(1.0,)], "csv")
+        write_table(["a", "b"], typed_table({"a": [1.0], "b": []}), "csv")
+
+
+def _reference_csv(names, rows):
+    """The cell rules the template writer must reproduce: str as is, str(int), %.16e floats."""
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        return str(value) if isinstance(value, int) else "%.16e" % value
+
+    return "\n".join([",".join(names)] + [",".join(cell(value) for value in row) for row in rows]) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308, 0.1, 1e16])
+_CELL_VALUES = {
+    "float": st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
+    "int": st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -(2**63), 2**63 - 1]),
+    "str": st.text(st.characters(blacklist_characters="\x00"), max_size=8),
+}
+
+
+@st.composite
+def mixed_tables(draw):
+    """(column names, rows as Python tuples) with float, int and str columns."""
+    names = draw(st.lists(st.text(st.characters(blacklist_characters="\x00"), min_size=1, max_size=6),
+                          min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(sorted(_CELL_VALUES))) for _ in names]
+    n = draw(st.integers(1, 6))
+    columns = [draw(st.lists(_CELL_VALUES[kind], min_size=n, max_size=n)) for kind in kinds]
+    return names, list(zip(*columns))
+
+
+@settings(max_examples=200)
+@given(mixed_tables())
+@example((["p_%d", 'q"'], [(-0.0, "%s,\n")]))
+def test_template_writer_matches_reference_formatting(table):
+    names, rows = table
+    typed = typed_table({name: [row[k] for row in rows] for k, name in enumerate(names)})
+    assert [type(cell) for cell in typed.tolist()[0]] == [type(cell) for cell in rows[0]]
+    assert write_table(names, typed, "csv") == _reference_csv(names, rows)
+    assert write_table(names, typed, "json") == json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_floats(bad):
+    table = typed_table({"x": [0.5, bad], "n": [1, 2]})
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="non-finite"):
+            write_table(["x", "n"], table, fmt)
+
+
+def test_table_rejects_unequal_columns_and_mismatched_names():
+    for lengths in ((2, 1), (1, 2), (3, 2)):  # a length-1 column would broadcast if it were let through
+        with pytest.raises(ValueError, match="equal length"):
+            typed_table({"a": [0.0] * lengths[0], "b": [1] * lengths[1]})
+    table = typed_table({"a": [0.0], "b": [1]})
+    for columns in (["a"], ["b", "a"], ["a", "c"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="do not match"):
+            write_table(columns, table, "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +463,19 @@ def point_runs(draw):
     mode = draw(st.sampled_from(["distributions", "ports"]))
     r, width = draw(st.floats(0.0, 1.0)), draw(st.floats(0.25, 4.0))
     delta_over_w, phi, alpha = draw(st.floats(0.0, 6.0)), draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
-    argv = [mode, f"--r={r!r}", f"--width={width!r}", f"--delta-over-w={delta_over_w!r}", f"--phi={phi!r}",
-            f"--alpha={alpha!r}"]
+    keys = {"r": r, "width": width, "delta-over-w": delta_over_w, "phi": phi, "alpha": alpha}
     params = InterferometerParams(r, phi, alpha, delta_over_w * width, width)
-    if mode == "ports":
-        return argv, params, None, None
-    port = draw(st.sampled_from(list(PortPair)))
-    span = draw(st.floats(5.0, 16.0))
-    # spacing <= W / 4, where Simpson's error on these Gaussians is far below the tail budget
-    n = 2 * draw(st.integers(math.ceil(4.0 * span), 400)) + 1
-    argv += [f"--port={port.value}", f"--grid-span={span!r}", f"--grid-points={n}"]
-    return argv, params, port, numeric.MomentumGrid(-span, span, n)
+    grid = port = None
+    if mode == "distributions":
+        port = draw(st.sampled_from(list(PortPair)))
+        span, n = draw(st.floats(5.0, 16.0)), 2 * draw(st.integers(1, 400)) + 1  # any spacing, resolved or not
+        keys.update({"port": port.value, "grid-span": span, "grid-points": n})
+        grid = numeric.MomentumGrid(-span, span, n)
+    argv = [mode]
+    for key, value in keys.items():  # '--key=value' or '--key value', negative values included
+        text = value if isinstance(value, str) else repr(value)
+        argv += draw(st.sampled_from([[f"--{key}={text}"], [f"--{key}", text]]))
+    return argv, params, port, grid
 
 
 @settings(max_examples=30, deadline=None)
@@ -436,9 +496,15 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
     assert np.all(np.isfinite(numbers))
     if grid is None:
         return
+    # the summary states the quadrature mean only where Simpson resolves the packets
+    alias = grid.alias_bound(1.0)
+    assert ("quadrature of the emitted density: unresolved" in stdout.getvalue()) == (alias > numeric.TAIL_BUDGET)
+    if alias > numeric.TAIL_BUDGET:
+        return
     # Quadrature mean of the emitted density against the closed form, in units of W.  Each
-    # branch's analytic mass outside the grid is at most `tail`; normalising by the port
-    # probability scales it, and the rounding floor, by at most `gain` (large only near dark ports).
+    # branch's analytic mass outside the grid is at most `tail`, and Simpson's aliasing error on it
+    # at most `alias`; normalising by the port probability scales both, and the rounding floor, by
+    # at most `gain` (large only near dark ports).
     p, dens = numbers[:, 0], numbers[:, 1]
     w = grid.simpson_weights()
     quad = float((w @ (p * dens)) / (w @ dens))
@@ -450,8 +516,36 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
     )
     d = params.delta_over_width
     tail = max(grid.tail_mass(GaussianPacket(1.0, center)) for center in (0.0, -d, d))
-    bound = gain * (3.0 * (grid.p_max + 1.0 + abs(closed)) * tail + 1e-13 * (grid.p_max + 1.0))
+    bound = gain * (3.0 * (grid.p_max + 1.0 + abs(closed)) * (tail + alias) + 1e-13 * (grid.p_max + 1.0))
     assert abs(quad - closed) <= bound
+
+
+@pytest.mark.parametrize("mode, keys", [
+    ("distributions", [("--delta-over-w", "0.3"), ("--phi", "-0.5pi"), ("--alpha", "0")]),
+    ("ports", [("--delta-over-w", "0.3"), ("--phi", "0.75pi"), ("--alpha", "-1e-5"), ("--r", "0.4")]),
+    ("decompose", [("--delta-over-w", "0.3"), ("--phi", "-2.1"), ("--alpha", "-.5"), ("--grid-span", "9")]),
+])
+def test_main_negative_values_as_separate_arguments(mode, keys, tmp_path, capsys):
+    outputs = []
+    for form, argv in (("joined", [f"{flag}={value}" for flag, value in keys]),
+                       ("separate", [part for pair in keys for part in pair])):
+        out = tmp_path / f"{form}.csv"
+        assert main([mode, *argv, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append((captured.out.replace(str(out), "OUT"), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_main_coarse_report_grid_states_the_mean_unresolved(tmp_path, capsys):
+    out = tmp_path / "coarse.csv"
+    assert main(["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0",
+                 "--grid-points", "11", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("  mean p1/W from quadrature of the emitted density: "
+                        "unresolved (spacing h = 1.6 W, alias bound 1.0e+00 > 1e-10)")
+    assert lines[2] == "  mean p1/W, closed form with branch overlap I^2:  +0.356704"
+    assert len(out.read_text().splitlines()) == 12
 
 
 def test_main_unwritable_output(capsys):
