@@ -10,10 +10,8 @@ realisation.
 """
 
 from .analytic import (
-    BranchAmplitudes,
     EhrenfestBalance,
     MeanSurface,
-    PortAmplitudes,
     ReducedState,
     branch_overlap,
     ehrenfest_check,
@@ -60,12 +58,10 @@ from .numeric import (
     Distribution1D,
     KickOracleResult,
     MomentumGrid,
-    SampledWavefunction,
     default_grid,
     joint_marginal_oracle,
     kernel_purity,
     momentum_kick_oracle,
-    sample_packet,
 )
 
 __version__ = "0.1.0"

@@ -54,8 +54,6 @@ __all__ = [
     "mean_postselected_packet_overlap",
     "MeanSurface",
     "mean_surface",
-    "BranchAmplitudes",
-    "PortAmplitudes",
     "port_states",
     "port_amplitudes",
     "port_probabilities",
@@ -258,31 +256,6 @@ def mean_surface(delta_over_width, phi, alpha: float = 0.0) -> MeanSurface:
 # Exit-port algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchAmplitudes:
-    """Coefficients of the two joint branches at one exit-port pair."""
-
-    free: complex    # multiplies |Phi>|Phi>  (no interaction)
-    kicked: complex  # multiplies |Phi^->|Phi^+>  (mutual kick applied)
-
-
-@dataclass(frozen=True)
-class PortAmplitudes:
-    """Branch amplitudes for all four exit-port pairs."""
-
-    cc: BranchAmplitudes
-    cd: BranchAmplitudes
-    dc: BranchAmplitudes
-    dd: BranchAmplitudes
-
-    def __getitem__(self, port: PortPair) -> BranchAmplitudes:
-        return getattr(self, port.value)
-
-    def items(self):
-        for port in PortPair:
-            yield port, self[port]
-
-
 def port_states(r, phi, alpha, delta, width=1.0) -> TwoBranchState:
     """Two-branch states of the four exit-port pairs, broadcast over parameter arrays.
 
@@ -313,10 +286,9 @@ def _ports(params: InterferometerParams) -> TwoBranchState:
     return port_states(params.r, params.phi, params.alpha, params.delta, params.width)
 
 
-def port_amplitudes(params: InterferometerParams) -> PortAmplitudes:
-    """Free/kicked branch coefficients at every exit-port pair (see :func:`port_states`)."""
-    states = _ports(params)
-    return PortAmplitudes(*(BranchAmplitudes(complex(a), complex(b)) for a, b in zip(states.free, states.kicked)))
+def port_amplitudes(params: InterferometerParams) -> dict[PortPair, TwoBranchState]:
+    """The two-branch state at every exit-port pair (see :func:`port_states`)."""
+    return dict(zip(PortPair, (TwoBranchState(*fields) for fields in zip(*_ports(params)))))
 
 
 def port_probabilities(params: InterferometerParams) -> dict[PortPair, float]:
@@ -346,8 +318,7 @@ def port_marginal_density(params: InterferometerParams, port: PortPair, electron
     CC at a balanced splitter isolates the purely kicked branch (the free
     amplitude vanishes there), giving the displaced packet density.
     """
-    k = list(PortPair).index(port)
-    state = TwoBranchState(*(field[k] for field in _ports(params)))
+    state = port_amplitudes(params)[port]
     dark = f"port {port.name} has zero probability; conditional density undefined"
     return _density(state, params, electron, p, normalized, dark)
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import analytic, experiment, numeric, verify
 from .core import (
     BALANCED_R,
+    AliasingError,
     DARK_THRESHOLD,
     ConfigError,
     DarkPortError,
@@ -46,6 +47,7 @@ MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20
 MAX_SWEEP_ROWS = 10**6
 MAX_PORT_DRAWS = 10**5  # the port-sum suite holds every draw's 2x2 exit matrices at once
+INT64_MAX = 2**63 - 1  # integer table cells are int64
 
 # Range checks: (predicate, requirement); a failing value reports "<requirement>, got <value>".
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
@@ -115,7 +117,8 @@ class RunConfig:
     waist_longitudinal_m: float | None = _key(None, "initial longitudinal width, metres", required=("design",),
                                               checks=(_POSITIVE,))
     tune_target_n: int | None = _key(None, "request |alpha| = 2 pi n at the tuned separation",
-                                     optional=("design",), checks=((lambda n: n >= 1, "must be a positive integer"),))
+                                     optional=("design",),
+                                     checks=((lambda n: n >= 1, "must be a positive integer"), _at_most(INT64_MAX)))
     seed: int = _key(12345, "random seed for the verification draws", optional=("verify",), checks=(_NON_NEGATIVE,))
     draws_marginal: int = _key(100, "parameter draws for the marginal-oracle suite", optional=("verify",),
                                checks=(_AT_LEAST_ONE,))
@@ -284,6 +287,13 @@ def build_config(raw: dict[str, str], lines: dict[str, int] | None = None) -> Ru
             f"key 'phi_steps': delta_over_w_steps * phi_steps must be <= {MAX_SWEEP_ROWS} rows, "
             f"got {config.delta_over_w_steps} * {config.phi_steps}", where("phi_steps")
         )
+    if config.mode == "design":
+        try:
+            _design(config)
+        except ValueError as err:
+            # the inputs clash only together: point at the last one given, a flag (no line) if flags set any
+            given = [where(key) for key in (*_mode_keys("design", "required"), "tune_target_n") if key in raw]
+            raise ConfigError(f"design: {err}", None if None in given else max(given)) from None
     return config
 
 
@@ -297,12 +307,17 @@ def parse_config(text: str) -> RunConfig:
 # Mode implementations
 # ---------------------------------------------------------------------------
 
-def _report_grid(config: RunConfig, params: InterferometerParams) -> numeric.MomentumGrid:
-    """The report grid, refused (GridSpanError) unless it holds the free and both kicked branches."""
+def _report_grid(config: RunConfig, params: InterferometerParams) -> tuple[numeric.MomentumGrid, str | None]:
+    """The report grid, refused (GridSpanError) unless it holds the free and both kicked branches, and the
+    reason its quadrature is unresolved (None if it is resolved).  The table cells are exact closed-form
+    samples at any spacing; only a quadrature over the grid needs Simpson to resolve the packets."""
     half = config.grid_span * config.width
     grid = numeric.MomentumGrid(-half, half, config.grid_points)
-    numeric._require_coverage(grid, (params.packet(), params.kicked_packet(1), params.kicked_packet(2)))
-    return grid
+    try:
+        grid.require_resolved((params.packet(), params.kicked_packet(1), params.kicked_packet(2)))
+    except AliasingError as err:
+        return grid, str(err)
+    return grid, None
 
 
 def _fmt_params(params: InterferometerParams) -> str:
@@ -315,7 +330,7 @@ def _fmt_params(params: InterferometerParams) -> str:
 def _run_distributions(config: RunConfig) -> RunResult:
     params = config.model_params()
     port = PortPair(config.port)
-    grid = _report_grid(config, params)
+    grid, unresolved = _report_grid(config, params)
     p = grid.points
     if port is PortPair.DC:
         # the DC closed forms below never see r, so reachability comes from the port algebra
@@ -329,9 +344,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
         dens2 = analytic.port_marginal_density(params, port, 2, p)
     w = params.width
     rows = typed_table({"p_over_W": p / w, "P1_times_W": dens1 * w, "P2_times_W": dens2 * w})
-    alias = grid.alias_bound(w)  # the table holds exact samples at any spacing; only the quadrature needs more
-    quad_mean = (f"unresolved (spacing h = {grid.spacing / w:g} W, alias bound {alias:.1e} > {numeric.TAIL_BUDGET:g})"
-                 if alias > numeric.TAIL_BUDGET else f"{grid.density_mean(dens1) / w:+.6f}")
+    quad_mean = f"unresolved ({unresolved})" if unresolved else f"{grid.density_mean(dens1) / w:+.6f}"
     summary = [
         f"distributions mode: port {port.name}, {_fmt_params(params)}",
         f"  mean p1/W from quadrature of the emitted density: {quad_mean}",
@@ -352,7 +365,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
 
 def _run_decompose(config: RunConfig) -> RunResult:
     params = config.model_params()
-    grid = _report_grid(config, params)
+    grid, _ = _report_grid(config, params)
     p = grid.points
     direct, cross = analytic.term_decomposition(params, p)
     w = params.width
@@ -391,10 +404,10 @@ def _run_sweep(config: RunConfig) -> RunResult:
             f"  largest anomalous mean: +{surface.mean[imax]:.6f} W at "
             f"delta/W={deltas[imax[0]]:g}, phi={phis[imax[1]]:.6f} rad"
         )
-    dark = surface.norm <= 1e-12
+    dark = surface.norm <= DARK_THRESHOLD
     if np.any(dark):
         summary.append(
-            f"  dark grid points emitted as 0 (removable limit), flagged by postselect_norm <= 1e-12: "
+            f"  dark grid points emitted as 0 (removable limit), flagged by postselect_norm <= {DARK_THRESHOLD:g}: "
             f"{int(np.count_nonzero(dark))}"
         )
     return RunResult(rows, summary)
@@ -427,10 +440,18 @@ def _run_ports(config: RunConfig) -> RunResult:
     return RunResult(rows, summary)
 
 
-def _run_design(config: RunConfig) -> RunResult:
+def _design(config: RunConfig) -> tuple[experiment.DerivedSetup, experiment.TuneResult]:
+    """The SI setup and its 2 pi tuning; ValueError names a quantity outside the double or int64 range."""
     inputs = config.experiment_inputs()
     setup = experiment.derive_setup(inputs)
     tuned = experiment.tune_separation(inputs, config.tune_target_n)
+    if tuned.n_multiple > INT64_MAX:
+        raise ValueError(f"the tuned 2 pi multiple {tuned.n_multiple} exceeds the int64 range of the table")
+    return setup, tuned
+
+
+def _run_design(config: RunConfig) -> RunResult:
+    setup, tuned = _design(config)
     cells = [(key, getattr(config, key)) for key in _mode_keys("design", "required")] + [
         ("transit_time_s", setup.transit_time),
         ("force_N", setup.force),

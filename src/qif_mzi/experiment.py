@@ -128,50 +128,60 @@ class DerivedSetup:
     validity: tuple[ValidityCheck, ...]
 
 
-def _checks(inputs: ExperimentInputs, setup_values: dict) -> tuple[ValidityCheck, ...]:
-    extent = max(setup_values["transverse_spread"], setup_values["longitudinal_spread"])
-    linearization = (extent / inputs.separation) ** 2
+def _derived(name: str, formula) -> float:
+    """``formula()``, refused with a ValueError naming the quantity unless it is a finite double."""
+    try:
+        value = formula()
+    except ArithmeticError:  # an overflow, or a divisor that underflowed to zero
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"derived {name} is not a finite double for these inputs")
+    return value
+
+
+def _checks(inputs: ExperimentInputs, derived: dict) -> tuple[ValidityCheck, ...]:
+    extent = max(derived["transverse_spread"], derived["longitudinal_spread"])
     entries = (
-        ("separation_to_extent", inputs.separation / extent, 100.0, True),
-        ("potential_to_kinetic", setup_values["potential_scale"] / setup_values["kinetic_scale"], 5.0, True),
-        ("fringe_to_beam", setup_values["fringe_spacing"] / inputs.waist_transverse, 10.0, True),
-        ("linearization_error", linearization, 1e-3, False),
-        ("transverse_spread", setup_values["transverse_spread_relative"], 1e-3, False),
+        ("separation_to_extent", lambda: inputs.separation / extent, 100.0, True),
+        ("potential_to_kinetic", lambda: derived["potential_scale"] / derived["kinetic_scale"], 5.0, True),
+        ("fringe_to_beam", lambda: derived["fringe_spacing"] / inputs.waist_transverse, 10.0, True),
+        ("linearization_error", lambda: (extent / inputs.separation) ** 2, 1e-3, False),
+        ("transverse_spread", lambda: derived["transverse_spread_relative"], 1e-3, False),
     )
+    ratios = [(name, _derived(f"{name} ratio", formula), threshold, at_least)
+              for name, formula, threshold, at_least in entries]
     return tuple(
         ValidityCheck(name, ratio, threshold, at_least, ratio >= threshold if at_least else ratio <= threshold)
-        for name, ratio, threshold, at_least in entries
+        for name, ratio, threshold, at_least in ratios
     )
 
 
 def derive_setup(inputs: ExperimentInputs, constants: PhysicalConstants = CODATA2018) -> DerivedSetup:
-    """All derived numbers for one configuration; pure and deterministic."""
+    """All derived numbers for one configuration; pure and deterministic.
+
+    Raises ValueError naming the first derived quantity that is not a finite
+    double (inputs far outside any laboratory range can overflow one).
+    """
     coulomb = constants.q * constants.q / (4.0 * math.pi * constants.eps0)
-    transit = inputs.length / inputs.speed
-    force = coulomb / inputs.separation**2
-    delta = force * transit
-    momentum_width = constants.hbar / (2.0 * inputs.waist_transverse)
-    alpha = -coulomb * transit / (constants.hbar * inputs.separation)
-    transverse_spread = free_spread_width(inputs.waist_transverse, transit, constants.m_e)
-    values = {
-        "fringe_spacing": constants.h / delta,
-        "longitudinal_spread": free_spread_width(inputs.waist_longitudinal, transit, constants.m_e),
-        "transverse_spread": transverse_spread,
-        "transverse_spread_relative": transverse_spread / inputs.waist_transverse - 1.0,
-        "kinetic_scale": (2.0 * momentum_width) ** 2 / (2.0 * constants.m_e),
-        "potential_scale": coulomb * inputs.waist_transverse / inputs.separation**2,
+    derived: dict[str, float] = {}
+    formulas = {  # in order: each formula reads only the quantities above it
+        "transit_time": lambda: inputs.length / inputs.speed,
+        "force": lambda: coulomb / inputs.separation**2,
+        "delta": lambda: derived["force"] * derived["transit_time"],
+        "momentum_width": lambda: constants.hbar / (2.0 * inputs.waist_transverse),
+        "delta_over_width": lambda: derived["delta"] / derived["momentum_width"],
+        "alpha": lambda: -coulomb * derived["transit_time"] / (constants.hbar * inputs.separation),
+        "fringe_spacing": lambda: constants.h / derived["delta"],
+        "longitudinal_spread": lambda: free_spread_width(
+            inputs.waist_longitudinal, derived["transit_time"], constants.m_e),
+        "transverse_spread": lambda: free_spread_width(inputs.waist_transverse, derived["transit_time"], constants.m_e),
+        "transverse_spread_relative": lambda: derived["transverse_spread"] / inputs.waist_transverse - 1.0,
+        "kinetic_scale": lambda: (2.0 * derived["momentum_width"]) ** 2 / (2.0 * constants.m_e),
+        "potential_scale": lambda: coulomb * inputs.waist_transverse / inputs.separation**2,
     }
-    return DerivedSetup(
-        inputs=inputs,
-        transit_time=transit,
-        force=force,
-        delta=delta,
-        momentum_width=momentum_width,
-        delta_over_width=delta / momentum_width,
-        alpha=alpha,
-        validity=_checks(inputs, values),
-        **values,
-    )
+    for name, formula in formulas.items():
+        derived[name] = _derived(name, formula)
+    return DerivedSetup(inputs=inputs, validity=_checks(inputs, derived), **derived)
 
 
 class TuneResult(NamedTuple):
@@ -209,10 +219,17 @@ def tune_separation(
     magnitude = abs(setup.alpha)
     if n is None:
         n = round(magnitude / (2.0 * math.pi))
-    if n < 1:
+        if n < 1:
+            raise ValueError(f"|alpha| = {magnitude:.3g} rad is nearest to 0 x 2 pi; request a positive multiple")
+    elif n < 1:
         raise ValueError(f"target multiple must be a positive integer, got {n!r}")
     separation = separation_for_alpha(inputs, 2.0 * math.pi * n, constants)
-    tuned = derive_setup(replace(inputs, separation=separation), constants)
+    if not (math.isfinite(separation) and separation > 0.0):
+        raise ValueError(f"the tuned separation for |alpha| = {n} x 2 pi is {separation!r}, not a positive double")
+    try:
+        tuned = derive_setup(replace(inputs, separation=separation), constants)
+    except ValueError as err:
+        raise ValueError(f"at the tuned separation {separation:g} m, {err}") from None
     return TuneResult(separation, int(n), tuned)
 
 

@@ -9,8 +9,12 @@ Independent computation paths:
 * the impulsive momentum kick realised the long way round: position-space
   Gaussian, multiply by exp(-i delta x), discrete Fourier transform back -
   checks that a linear potential rigidly displaces the momentum density;
-* a grid-kernel eigendecomposition of reduced states - checks the Gram
-  algebra purity.
+* the trace of rho^2 from the grid-sampled kernel of a reduced state -
+  checks the Gram algebra purity.
+
+Every Simpson grid is held to one resolution policy,
+:meth:`MomentumGrid.require_resolved`: tail mass and aliasing bound both
+within ``TAIL_BUDGET``.
 
 Simpson on these analytic Gaussians converges far faster than its h^4 bound
 because all derivatives vanish at the grid edges, which is what makes the
@@ -45,8 +49,6 @@ __all__ = [
     "TAIL_BUDGET",
     "MomentumGrid",
     "default_grid",
-    "SampledWavefunction",
-    "sample_packet",
     "Distribution1D",
     "joint_marginal_oracle",
     "KickOracleResult",
@@ -58,7 +60,7 @@ DEFAULT_SPAN = 8.0          # half-width of default grids, in units of W
 DEFAULT_GRID_POINTS = 2001  # 1D quadrature grid
 DEFAULT_JOINT_POINTS = 513  # per axis of the two-particle product grid
 DEFAULT_KICK_POINTS = 4096  # DFT size of the momentum-kick oracle
-TAIL_BUDGET = 1e-10         # allowed analytic tail mass outside a grid
+TAIL_BUDGET = 1e-10         # allowed tail mass outside a grid, and Simpson aliasing error inside it
 
 
 @lru_cache(maxsize=64)
@@ -129,45 +131,29 @@ class MomentumGrid:
         u = width / self.spacing
         return (8.0 / 3.0) * math.exp(-0.25 * math.pi * math.pi * u * u)
 
+    def require_resolved(self, packets) -> None:
+        """Refuse a grid that truncates a packet (GridSpanError) or samples one too coarsely (AliasingError).
+
+        Both the tail mass outside the grid and Simpson's aliasing bound must stay within ``TAIL_BUDGET``.
+        """
+        for packet in packets:
+            tail = self.tail_mass(packet)
+            if tail > TAIL_BUDGET:
+                raise GridSpanError(
+                    f"grid [{self.p_min:g}, {self.p_max:g}] truncates a branch centred at "
+                    f"{packet.center:g} (tail mass {tail:.2e} > {TAIL_BUDGET:g})"
+                )
+        for packet in packets:
+            bound = self.alias_bound(packet.width)
+            if bound > TAIL_BUDGET:
+                raise AliasingError(
+                    f"spacing h = {self.spacing / packet.width:g} W, alias bound {bound:.1e} > {TAIL_BUDGET:g}"
+                )
+
 
 def default_grid(width: float = 1.0, span: float = DEFAULT_SPAN, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:
     """Symmetric grid spanning +-span*width."""
     return MomentumGrid(-span * width, span * width, n)
-
-
-@dataclass(frozen=True, eq=False)
-class SampledWavefunction:
-    """Wavefunction samples (real or complex) on a shared grid."""
-
-    grid: MomentumGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.shape != (self.grid.n,):
-            raise GridError(f"expected {self.grid.n} samples, got shape {values.shape}")
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-            raise ValueError("wavefunction samples must be finite")
-        object.__setattr__(self, "values", values)
-
-    def norm_squared(self) -> float:
-        """Simpson estimate of the integral of |f|^2."""
-        return float(self.grid.integrate(np.abs(self.values) ** 2).real)
-
-    def mean_momentum(self) -> float:
-        """Simpson estimate of the |f|^2-weighted mean momentum."""
-        return self.grid.density_mean(np.abs(self.values) ** 2)
-
-    def overlap(self, other: "SampledWavefunction"):
-        """Simpson estimate of integral conj(f) g; both operands must share a grid."""
-        if self.grid != other.grid:
-            raise GridError("overlap operands sampled on different grids")
-        acc = self.grid.integrate(np.conj(self.values) * other.values)
-        return acc
-
-
-def sample_packet(packet: GaussianPacket, grid: MomentumGrid) -> SampledWavefunction:
-    return SampledWavefunction(grid, packet(grid.points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,16 +181,6 @@ class Distribution1D:
         return self.grid.density_mean(self.values)
 
 
-def _require_coverage(grid: MomentumGrid, packets) -> None:
-    for packet in packets:
-        tail = grid.tail_mass(packet)
-        if tail > TAIL_BUDGET:
-            raise GridSpanError(
-                f"grid [{grid.p_min:g}, {grid.p_max:g}] truncates a branch centred at "
-                f"{packet.center:g} (tail mass {tail:.2e} > {TAIL_BUDGET:g})"
-            )
-
-
 def joint_marginal_oracle(
     params: InterferometerParams, electron: int, grid: MomentumGrid | None = None
 ) -> Distribution1D:
@@ -221,7 +197,7 @@ def joint_marginal_oracle(
     kicked1 = params.kicked_packet(1)
     kicked2 = params.kicked_packet(2)
     # both axes carry a displaced branch, so all three centres must fit
-    _require_coverage(grid, (base, kicked1, kicked2))
+    grid.require_resolved((base, kicked1, kicked2))
 
     p = grid.points
     b1_free = base(p)
@@ -323,20 +299,20 @@ def momentum_kick_oracle(
 def kernel_purity(coeff: np.ndarray, basis, grid: MomentumGrid | None = None) -> float:
     """Purity of rho = sum_ij coeff_ij |b_i><b_j| from its grid-sampled kernel.
 
-    Samples K(p, p') on the grid, symmetrises with sqrt-Simpson weights and
-    eigendecomposes; purity = sum(lambda^2) / sum(lambda)^2.  Independent of
-    the Gram-matrix route (no basis inner products are used).
+    Samples K(p, p') on the grid and weights it with sqrt-Simpson weights,
+    S = W^1/2 K W^1/2; purity = tr(S^2) / tr(S)^2 = ||S||_F^2 / tr(S)^2 for
+    Hermitian S.  Independent of the Gram-matrix route (no basis inner
+    products are used).
     """
     if grid is None:
         widths = {b.width for b in basis}
         grid = default_grid(max(widths), n=DEFAULT_JOINT_POINTS)
+    grid.require_resolved(basis)
     sampled = np.stack([b(grid.points) for b in basis])
     kernel = sampled.T @ (np.asarray(coeff) @ sampled)
     root_w = np.sqrt(grid.simpson_weights())
-    sym = root_w[:, None] * kernel * root_w[None, :]
-    sym = 0.5 * (sym + sym.conj().T)  # scrub round-off asymmetry before eigh
-    lam = np.linalg.eigvalsh(sym)
-    total = lam.sum()
+    weighted = root_w[:, None] * kernel * root_w[None, :]
+    total = float(np.trace(weighted).real)
     if total <= DARK_THRESHOLD:
         raise DarkPortError("kernel trace vanishes; purity undefined")
-    return float((lam @ lam) / (total * total))
+    return float(np.sum(weighted.real**2 + weighted.imag**2)) / (total * total)

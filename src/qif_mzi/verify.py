@@ -130,6 +130,7 @@ def check_mean_conventions(
     """
     params = HEADLINE_PARAMS
     grid = numeric.default_grid(params.width, span, points)
+    grid.require_resolved((params.packet(), params.kicked_packet(1)))
     density = analytic.marginal_density(params, 1, grid.points, normalized=True)
     quad_mean = grid.density_mean(density)
     closed = analytic.mean_postselected(params, 1)
@@ -144,7 +145,7 @@ def check_mean_conventions(
 def check_purity_routes(
     span: float = numeric.DEFAULT_SPAN, points: int = numeric.DEFAULT_JOINT_POINTS
 ) -> CheckResult:
-    """Gram-algebra purity vs the grid-kernel eigendecomposition."""
+    """Gram-algebra purity vs the trace of rho^2 from the grid-sampled kernel."""
     state = analytic.reduced_state(HEADLINE_PARAMS, 1)
     gram_route = state.purity()
     grid = numeric.default_grid(HEADLINE_PARAMS.width, span, points)

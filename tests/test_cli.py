@@ -425,7 +425,7 @@ _RANGE_ERRORS = [
 ]
 
 
-# upper bounds on allocation sizes and the overflowing kick: (id, document, key, value, line, message)
+# upper bounds on allocation sizes, and values that overflow: (id, document, key, value, line, message)
 _LIMIT_ERRORS = [
     ("grid_points-max", FIG2C_TEXT, "grid_points", "1048579", 5, "key 'grid_points': must be <= 1048577, got 1048579"),
     ("joint_grid_points-max", "mode = verify\n", "joint_grid_points", "2051", 2,
@@ -440,6 +440,18 @@ _LIMIT_ERRORS = [
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
     ("kick-overflow", "mode = ports\nphi = 0\nalpha = 0\nwidth = 1e200\n", "delta_over_w", "1e200", 5,
      "key 'delta_over_w': the kick delta_over_w * width must be finite, got 1e+200 * 1e+200"),
+    ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,
+     "key 'tune_target_n': must be <= 9223372036854775807, got 100000000000000000000"),
+    # derived design quantities outside double or int64 range; the error points at the last input given
+    ("design-force-overflow", _DESIGN.replace("separation_m = 2e-3\n", ""), "separation_m", "1e-170", 6,
+     "design: derived force is not a finite double for these inputs"),
+    ("design-spread-overflow", _DESIGN.replace("speed_m_per_s = 2e6\n", ""), "speed_m_per_s", "1e-300", 6,
+     "design: derived longitudinal_spread is not a finite double for these inputs"),
+    ("design-multiple-int64", _DESIGN.replace("length_m = 4e-2\n", "").replace("2e6", "1").replace("2e-3", "1e-3"),
+     "length_m", "1e30", 6,
+     "design: the tuned 2 pi multiple 348181878780037714600009350161492869120 exceeds the int64 range of the table"),
+    ("design-multiple-zero", _DESIGN.replace("separation_m = 2e-3\n", ""), "separation_m", "1", 6,
+     "design: |alpha| = 0.0438 rad is nearest to 0 x 2 pi; request a positive multiple"),
 ]
 
 
@@ -546,6 +558,49 @@ def test_main_coarse_report_grid_states_the_mean_unresolved(tmp_path, capsys):
                         "unresolved (spacing h = 1.6 W, alias bound 1.0e+00 > 1e-10)")
     assert lines[2] == "  mean p1/W, closed form with branch overlap I^2:  +0.356704"
     assert len(out.read_text().splitlines()) == 12
+
+
+@pytest.mark.parametrize("flags", [
+    ["--joint-grid-points", "3"],
+    ["--joint-grid-points", "9"],
+    ["--grid-points", "9", "--draws-marginal", "2", "--draws-ports", "5"],
+])
+def test_main_verify_refuses_unresolved_oracle_grids(flags, tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    assert main(["verify", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qif-mzi: error: spacing h = ") and "alias bound" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+_DESIGN_KEYS = ("separation-m", "length-m", "speed-m-per-s", "waist-transverse-m", "waist-longitudinal-m")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-300.0, 300.0), min_size=5, max_size=5),
+    st.none() | st.integers(1, 2**64),
+)
+@example([math.log10(v) for v in (2e-3, 4e-2, 2e6, 1e-5, 2e-7)], None)  # the design preset: exit 0
+@example([math.log10(v) for v in (2e-3, 4e-2, 2e6, 1e-5, 2e-7)], 5)
+def test_main_design_emits_finite_tables_or_config_errors(exponents, target):
+    argv = ["design", "--format", "json"]
+    for key, exponent in zip(_DESIGN_KEYS, exponents):
+        argv += [f"--{key}", repr(10.0**exponent)]
+    if target is not None:
+        argv += ["--tune-target-n", str(target)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "design.json"
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        if code == 2:
+            assert stderr.getvalue().startswith("qif-mzi: config error: ") and stdout.getvalue() == ""
+            assert not out.exists()
+            return
+        assert code == 0 and stderr.getvalue() == ""
+        (row,) = json.loads(out.read_text())
+    assert all(math.isfinite(value) for value in row.values())
 
 
 def test_main_unwritable_output(capsys):

@@ -115,6 +115,22 @@ def test_tune_rejects_nonpositive_targets():
         separation_for_alpha(BASELINE, 0.0)
 
 
+def test_derived_quantities_outside_double_range_are_named():
+    # separation^2 underflows to 0 and the Coulomb force overflows
+    with pytest.raises(ValueError, match="derived force is not a finite double"):
+        derive_setup(dataclasses.replace(BASELINE, separation=1e-170))
+    # the transit time is finite, the spreading of a 2e-7 m packet over it is not
+    with pytest.raises(ValueError, match="derived longitudinal_spread is not a finite double"):
+        derive_setup(dataclasses.replace(BASELINE, speed=1e-300))
+
+
+def test_tune_nearest_refuses_zero_multiple():
+    wide = dataclasses.replace(BASELINE, separation=1.0)  # |alpha| = 0.044 rad rounds to 0 x 2 pi
+    with pytest.raises(ValueError, match="nearest to 0 x 2 pi"):
+        tune_separation(wide)
+    assert tune_separation(wide, 1).setup.alpha == pytest.approx(-2.0 * math.pi, rel=1e-12)
+
+
 def test_exact_inversion_for_seven_pi():
     d7 = separation_for_alpha(BASELINE, 7.0 * math.pi)
     assert d7 == pytest.approx(1.9896107358859296e-3, rel=1e-12)

@@ -23,7 +23,6 @@ from qif_mzi.numeric import (
     joint_marginal_oracle,
     kernel_purity,
     momentum_kick_oracle,
-    sample_packet,
 )
 
 HEADLINE = InterferometerParams(BALANCED_R, 0.75 * math.pi, 0.0, 0.3, 1.0)
@@ -64,28 +63,22 @@ def test_simpson_weights_structure():
 
 def test_simpson_norm_of_unit_packet():
     grid = default_grid()
-    assert sample_packet(GaussianPacket(1.0), grid).norm_squared() == pytest.approx(1.0, abs=1e-12)
+    samples = GaussianPacket(1.0)(grid.points)
+    assert grid.integrate(np.abs(samples) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simpson_mean_of_displaced_packet():
     grid = default_grid()
     packet = GaussianPacket(1.0).shifted(-0.3)
     assert grid.density_mean(packet.density(grid.points)) == pytest.approx(-0.3, abs=1e-10)
-    assert sample_packet(packet, grid).mean_momentum() == pytest.approx(-0.3, abs=1e-10)
+    assert grid.density_mean(np.abs(packet(grid.points)) ** 2) == pytest.approx(-0.3, abs=1e-10)
 
 
 def test_sampled_overlap_matches_closed_form():
     grid = default_grid()
-    base = sample_packet(GaussianPacket(1.0), grid)
-    shifted = sample_packet(GaussianPacket(1.0).shifted(-0.3), grid)
-    assert base.overlap(shifted) == pytest.approx(0.9777512371933363, abs=1e-10)
-
-
-def test_overlap_requires_shared_grid():
-    a = sample_packet(GaussianPacket(1.0), default_grid())
-    b = sample_packet(GaussianPacket(1.0), MomentumGrid(-8.0, 8.0, 1001))
-    with pytest.raises(GridError):
-        a.overlap(b)
+    base = GaussianPacket(1.0)(grid.points)
+    shifted = GaussianPacket(1.0).shifted(-0.3)(grid.points)
+    assert grid.integrate(np.conj(base) * shifted) == pytest.approx(0.9777512371933363, abs=1e-10)
 
 
 def test_simpson_convergence_is_superpolynomial_until_floor():
@@ -157,6 +150,31 @@ def test_oracle_rejects_narrow_grid():
     params = InterferometerParams(BALANCED_R, 0.75 * math.pi, 0.0, 3.0, 1.0)
     with pytest.raises(GridSpanError):
         joint_marginal_oracle(params, 1, MomentumGrid(-4.0, 4.0, 257))
+
+
+def test_grid_resolution_is_one_check_for_tail_and_spacing():
+    packets = (GaussianPacket(1.0), GaussianPacket(1.0, 3.0))
+    MomentumGrid(-12.0, 12.0, 97).require_resolved(packets)  # h = W / 4: alias bound 1.9e-17
+    with pytest.raises(GridSpanError, match="truncates a branch centred at 3"):
+        MomentumGrid(-8.0, 5.0, 2001).require_resolved(packets)
+    with pytest.raises(AliasingError, match=r"spacing h = 1\.5 W, alias bound 8\.9e-01 > 1e-10"):
+        MomentumGrid(-12.0, 12.0, 17).require_resolved(packets)
+    # a grid that both truncates and aliases reports the truncation
+    with pytest.raises(GridSpanError):
+        MomentumGrid(-8.0, 5.0, 9).require_resolved(packets)
+
+
+@pytest.mark.parametrize("grid, error", [
+    (MomentumGrid(-8.0, 8.0, 9), AliasingError),      # h = 2 W
+    (MomentumGrid(-8.0, 8.0, 33), AliasingError),     # h = W / 2: alias bound 1.4e-4
+    (MomentumGrid(-2.0, 2.0, 513), GridSpanError),    # tail mass 4.7e-3 outside the grid
+])
+def test_oracles_refuse_unresolved_grids(grid, error):
+    with pytest.raises(error):
+        joint_marginal_oracle(HEADLINE, 1, grid)
+    state = analytic.reduced_state(HEADLINE, 1)
+    with pytest.raises(error):
+        kernel_purity(state.coeff, state.basis, grid)
 
 
 def test_oracle_dark_port_raises():
@@ -236,3 +254,30 @@ def test_kernel_purity_with_complex_phase():
     params = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0)
     state = analytic.reduced_state(params, 1)
     assert kernel_purity(state.coeff, state.basis) == pytest.approx(state.purity(), abs=1e-9)
+
+
+def _eigen_purity(coeff, basis, grid):
+    """Reference route: eigenvalues of the symmetrised sqrt-Simpson-weighted kernel."""
+    sampled = np.stack([b(grid.points) for b in basis])
+    root_w = np.sqrt(grid.simpson_weights())
+    sym = root_w[:, None] * (sampled.T @ (np.asarray(coeff) @ sampled)) * root_w[None, :]
+    lam = np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))
+    return float((lam @ lam) / lam.sum() ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 3.0),
+    st.integers(1, 2),
+)
+def test_kernel_trace_purity_matches_eigendecomposition(r, phi, alpha, delta, electron):
+    params = InterferometerParams(r, phi, alpha, delta, 1.0)
+    if analytic.postselect_norm(params) < 1e-3:
+        return
+    state = analytic.reduced_state(params, electron)
+    grid = MomentumGrid(-12.0, 12.0, 241)
+    assert kernel_purity(state.coeff, state.basis, grid) == pytest.approx(
+        _eigen_purity(state.coeff, state.basis, grid), abs=1e-12)
