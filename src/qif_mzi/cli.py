@@ -40,8 +40,9 @@ _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alp
 _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D momentum grids
 
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
-# a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 complex samples (67 MB), a DFT of 2^20
-# points, and a sweep of 10^6 rows (four times the 501 x 501 sweep, which peaks at about 200 MB).
+# a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (three real float64 planes at once,
+# a traced peak of 100.8 MB per oracle call), a DFT of 2^20 points, and a sweep of 10^6 rows
+# (four times the 501 x 501 sweep, which peaks at about 200 MB).
 MAX_GRID_POINTS = 2**20 + 1
 MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20
@@ -55,6 +56,8 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
 _ODD_GRID = (lambda n: n >= 3 and n % 2 == 1, "must be odd and >= 3")
 _SWEEP_STEPS = (lambda n: n >= 2, "sweep needs at least 2 steps")
 _AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
+# a subnormal width squares its packet amplitude width^-1/2 past the double range
+_NORMAL_DOUBLE = (lambda v: v >= sys.float_info.min, f"must be a normal double (>= {sys.float_info.min!r})")
 
 
 def _at_most(limit: int):
@@ -85,7 +88,8 @@ class RunConfig:
                        checks=((lambda v: v in ("csv", "json"), "expected csv or json"),))
     r: float = _key(BALANCED_R, "splitter reflection magnitude in [0, 1] (default balanced)",
                     optional=("distributions", "ports"), checks=((lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),))
-    width: float = _key(1.0, "packet momentum width W (default 1)", optional=_POINT_MODES, checks=(_POSITIVE,))
+    width: float = _key(1.0, "packet momentum width W (default 1)", optional=_POINT_MODES,
+                        checks=(_POSITIVE, _NORMAL_DOUBLE))
     delta_over_w: float | None = _key(None, "momentum kick in units of W", required=_POINT_MODES,
                                       checks=(_NON_NEGATIVE,))
     phi: float | None = _key(None, "path phase, radians ('pi' suffix allowed)", required=_POINT_MODES)

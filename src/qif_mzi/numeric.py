@@ -4,8 +4,9 @@ Independent computation paths:
 
 * composite Simpson quadrature on uniform momentum grids (norms, means,
   overlaps of sampled wavefunctions and densities);
-* a two-particle product-grid construction of the post-selected joint state,
-  squared and marginalised numerically - checks the closed-form densities;
+* a two-particle product-grid construction of the post-selected joint state
+  (as its real and imaginary planes), squared and marginalised numerically -
+  checks the closed-form densities;
 * the impulsive momentum kick realised the long way round: position-space
   Gaussian, multiply by exp(-i delta x), discrete Fourier transform back -
   checks that a linear potential rigidly displaces the momentum density;
@@ -186,10 +187,15 @@ def joint_marginal_oracle(
 ) -> Distribution1D:
     """One-electron marginal obtained from the full two-particle state.
 
-    Builds  Psi(p1, p2) = Phi(p1) Phi(p2) + e^{i alpha} cos(phi) Phi(p1 + d) Phi(p2 - d)
+    Builds  Psi(p1, p2) = Phi(p1) Phi(p2) + c Phi(p1 + d) Phi(p2 - d),  c = e^{i alpha} cos(phi),
     on the product grid, squares it, and integrates out the other electron
     with Simpson weights.  Entirely independent of the closed-form marginal
     it is used to check.
+
+    Every packet is real and only c is complex, so Psi is built in place as two real
+    planes, Re Psi = Phi(x)Phi + Re(c) K and Im Psi = Im(c) K with K = Phi_kick1 (x) Phi_kick2,
+    squared and summed.  That is the complex arithmetic bit for bit: a complex times a
+    real multiplies each part by that real, and the zero imaginary parts it adds are exact.
     """
     if grid is None:
         grid = default_grid(params.width, n=DEFAULT_JOINT_POINTS)
@@ -200,13 +206,15 @@ def joint_marginal_oracle(
     grid.require_resolved((base, kicked1, kicked2))
 
     p = grid.points
-    b1_free = base(p)
-    b2_free = base(p)
-    b1_kick = kicked1(p)
-    b2_kick = kicked2(p)
+    free = base(p)
     coeff = cmath.exp(1j * params.alpha) * math.cos(params.phi)
-    field = np.outer(b1_free, b2_free) + coeff * np.outer(b1_kick, b2_kick)
-    density2d = field.real**2 + field.imag**2
+    density2d = np.outer(free, free)
+    imag = np.outer(kicked1(p), kicked2(p))
+    density2d += coeff.real * imag
+    imag *= coeff.imag
+    density2d *= density2d
+    imag *= imag
+    density2d += imag
 
     w = grid.simpson_weights()
     if electron == 1:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -378,6 +379,16 @@ def test_main_report_grid_must_hold_every_branch(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["distributions", "decompose"])
+def test_main_smallest_normal_width_emits_finite_table(mode, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    argv = [mode, "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0", "--width", repr(sys.float_info.min)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cells = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert cells.shape[0] == numeric.DEFAULT_GRID_POINTS and np.all(np.isfinite(cells))
+
+
 def test_main_config_error_exit_code(capsys):
     assert main(["distributions"]) == 2  # missing required keys
     assert "config error" in capsys.readouterr().err
@@ -440,6 +451,8 @@ _LIMIT_ERRORS = [
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
     ("kick-overflow", "mode = ports\nphi = 0\nalpha = 0\nwidth = 1e200\n", "delta_over_w", "1e200", 5,
      "key 'delta_over_w': the kick delta_over_w * width must be finite, got 1e+200 * 1e+200"),
+    ("width-subnormal", FIG2C_TEXT, "width", "1e-310", 5,
+     "key 'width': must be a normal double (>= 2.2250738585072014e-308), got 1e-310"),
     ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,
      "key 'tune_target_n': must be <= 9223372036854775807, got 100000000000000000000"),
     # derived design quantities outside double or int64 range; the error points at the last input given

@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +146,49 @@ def test_oracle_matches_closed_form_random_draws(delta, phi, alpha, electron):
     oracle = joint_marginal_oracle(params, electron, grid)
     closed = analytic.marginal_density(params, electron, grid.points, normalized=True)
     assert np.max(np.abs(oracle.values - closed)) < 1e-9
+
+
+def _complex_oracle_marginal(params, electron, grid):
+    """The product-grid marginal from the complex field, the construction the real planes must reproduce."""
+    p = grid.points
+    base = params.packet()
+    coeff = cmath.exp(1j * params.alpha) * math.cos(params.phi)
+    field = np.outer(base(p), base(p)) + coeff * np.outer(params.kicked_packet(1)(p), params.kicked_packet(2)(p))
+    density2d = field.real**2 + field.imag**2
+    w = grid.simpson_weights()
+    marginal = density2d @ w if electron == 1 else w @ density2d
+    return marginal / grid.integrate(marginal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi).filter(lambda a: a != 0.0),
+    st.floats(0.0, 3.0),
+    st.integers(1, 2),
+)
+def test_oracle_real_planes_match_complex_field_bit_for_bit(r, phi, alpha, delta, electron):
+    params = InterferometerParams(r, phi, alpha, delta, 1.0)
+    if analytic.postselect_norm(params) < 1e-3:  # near-dark, skipped as the verify suite does
+        return
+    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
+    oracle = joint_marginal_oracle(params, electron, grid)
+    assert np.array_equal(oracle.values, _complex_oracle_marginal(params, electron, grid))
+
+
+def test_oracle_peak_allocation_is_three_real_planes():
+    params = InterferometerParams(0.6, 0.75 * math.pi, 0.4, 0.3, 1.0)
+    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
+    joint_marginal_oracle(params, 1, grid)  # fills the shared grid cache outside the trace
+    tracemalloc.start()
+    try:
+        joint_marginal_oracle(params, 1, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three n x n float64 planes live at once; complex temporaries would add at least one more
+    assert peak <= 3.25 * 8 * grid.n**2
 
 
 def test_oracle_rejects_narrow_grid():
