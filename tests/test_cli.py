@@ -4,7 +4,9 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qif_mzi import ConfigError, GaussianPacket, InterferometerParams, PortPair, analytic, numeric
+from qif_mzi import ConfigError, GaussianPacket, InterferometerParams, PortPair, analytic, cli, numeric
 from qif_mzi.cli import build_config, execute, main, parse_config, typed_table, write_table
 
 REPO = Path(__file__).resolve().parent.parent
@@ -123,7 +125,7 @@ def test_table_rejects_ragged_rows():
 
 
 def _reference_csv(names, rows):
-    """The cell rules the template writer must reproduce: str as is, str(int), %.16e floats."""
+    """The cell rules the writer must reproduce: str as is, str(int), %.16e floats."""
     def cell(value):
         if isinstance(value, str):
             return value
@@ -154,6 +156,7 @@ def mixed_tables(draw):
 @settings(max_examples=200)
 @given(mixed_tables())
 @example((["p_%d", 'q"'], [(-0.0, "%s,\n")]))
+@example((["s"], [("\ud800 \ud83d\ude00 é",)]))
 def test_template_writer_matches_reference_formatting(table):
     names, rows = table
     typed = typed_table({name: [row[k] for row in rows] for k, name in enumerate(names)})
@@ -178,6 +181,101 @@ def test_table_rejects_unequal_columns_and_mismatched_names():
     for columns in (["a"], ["b", "a"], ["a", "c"], ["a", "b", "c"]):
         with pytest.raises(ValueError, match="do not match"):
             write_table(columns, table, "csv")
+
+
+@pytest.mark.parametrize("values", [["a\x00"], ["ok", "a\x00b"], ["\x00"]])
+def test_typed_table_refuses_nul_in_strings(values):
+    # a numpy str field would drop the trailing NUL silently; the writers keep byte 0 for padding
+    with pytest.raises(ValueError, match="NUL"):
+        typed_table({"s": values, "n": list(range(len(values)))})
+
+
+def _csv_floats(values):
+    """The CSV float cells of a one-column table."""
+    text = write_table(["x"], typed_table({"x": np.asarray(values, dtype=np.float64)}), "csv")
+    return text.splitlines()[1:]
+
+
+def _assert_exact_e16(values):
+    values = np.asarray(values, dtype=np.float64)
+    cells = _csv_floats(values)
+    wrong = [(v, cell) for v, cell in zip(values.tolist(), cells) if cell != "%.16e" % v]
+    assert len(cells) == values.size and not wrong, wrong[:5]
+
+
+_ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+
+
+@settings(max_examples=300)
+@given(st.lists(_ANY_DOUBLE.filter(math.isfinite), min_size=1, max_size=50))
+def test_csv_floats_are_exactly_percent_e16_for_any_bit_pattern(values):
+    _assert_exact_e16(values)
+
+
+def _e16_battery():
+    powers = np.array([float(f"1e{s}") for s in range(-323, 309)])
+    subnormals = np.concatenate([np.arange(1, 4097), 2**52 - np.arange(1, 4097), 2 ** np.arange(52)]).astype(np.uint64)
+    edges = [0.0, -0.0, sys.float_info.max, -sys.float_info.max, sys.float_info.min, -1.5e-300, 2.5, 0.125]
+    random_bits = np.random.default_rng(20260418).integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    battery = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+                              subnormals.view(np.float64), edges, random_bits])
+    return battery[np.isfinite(battery)]
+
+
+def test_csv_floats_are_exactly_percent_e16_on_a_battery():
+    battery = _e16_battery()
+    _assert_exact_e16(battery)
+    # exact decimal ties go to "%", which rounds half to even; the doubles 1e-14 and 1e129 lie below
+    # their powers of ten, so their digits carry into the exponent, while 1e23 and 1e-304 do not carry
+    assert _csv_floats([1e15 + 0.25, 1e15 + 0.75, 1e-14, 1e129, 1e23, 1e-304, -0.0, 5e-324]) == [
+        "1.0000000000000002e+15", "1.0000000000000008e+15", "1.0000000000000000e-14",
+        "1.0000000000000000e+129", "9.9999999999999992e+22", "9.9999999999999997e-305",
+        "-0.0000000000000000e+00", "4.9406564584124654e-324",
+    ]
+
+
+def test_csv_floats_stay_exact_when_long_double_is_double(monkeypatch):
+    # with a plain double long double the error bound is 1e17 * 2^-52 = 22: every cell goes to "%"
+    monkeypatch.setattr(cli, "_TOLERANCE", np.longdouble(1e17) * np.finfo(np.float64).eps)
+    _assert_exact_e16(_e16_battery()[::20])
+
+
+def test_power_of_ten_table_is_correctly_rounded():
+    eps = np.finfo(np.longdouble).eps
+    for s, entry in zip(range(-400, 401), cli._POW10):
+        exact = Fraction(10) ** s
+        _, exponent = np.frexp(entry)  # entry = m 2^exponent with 1/2 <= m < 1: its ulp is eps 2^(exponent - 1)
+        half_ulp = Fraction(float(eps)) * Fraction(2) ** (int(exponent) - 2)
+        assert abs(Fraction(*entry.as_integer_ratio()) - exact) <= half_ulp, s
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2n+1"])
+def test_writer_is_seamless_across_row_chunks(offset):
+    n = 2 * cli._CHUNK_ROWS + 1 if offset == "2n+1" else cli._CHUNK_ROWS + offset
+    rng = np.random.default_rng(n)
+    floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    ints = rng.integers(-(2**63), 2**63 - 1, n).tolist()
+    strs = [["", "a,b", "é\n", '"q"'][i % 4] * (i % 3) for i in range(n)]
+    names = ["x", "n", "s"]
+    rows = list(zip(floats, ints, strs))
+    table = typed_table({"x": floats, "n": ints, "s": strs})
+    assert write_table(names, table, "csv") == _reference_csv(names, rows)
+    assert write_table(names, table, "json") == json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_peak_allocation_is_bounded_by_its_output(fmt):
+    keys = {"mode": "sweep", "delta_over_w_min": "0", "delta_over_w_max": "3", "delta_over_w_steps": "201",
+            "phi_min": "0", "phi_max": "2pi", "phi_steps": "201", "alpha": "0"}
+    result = execute(build_config(keys))
+    tracemalloc.start()
+    try:
+        text = write_table(result.columns, result.rows, fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the chunk texts and their join; a writer holding per-cell strings or rows peaks at 3x to 4x
+    assert peak <= 2.5 * len(text)
 
 
 # ---------------------------------------------------------------------------
