@@ -246,7 +246,8 @@ def mean_surface(delta_over_width, phi, alpha: float = 0.0) -> MeanSurface:
     """
     d = np.asarray(delta_over_width, dtype=float)
     c = np.cos(np.asarray(phi, dtype=float))
-    i1 = np.exp(-0.25 * d * d)
+    u = np.minimum(np.abs(d), 64.0)  # exp(-64^2 / 4) is already 0.0, and u * u cannot overflow
+    i1 = np.exp(-0.25 * u * u)
     state = TwoBranchState(1.0, c * cmath.exp(1j * alpha), i1, i1 * i1)
     single = TwoBranchState(1.0, c, i1, i1)
     return MeanSurface(state.mean(-d), single.mean(-d), state.norm())
@@ -276,7 +277,7 @@ def port_states(r, phi, alpha, delta, width=1.0) -> TwoBranchState:
     rt, plus, minus = r * t, alpha + phi, alpha - phi
     kicked = _matrix(rt * (1j * np.cos(plus) - np.sin(plus)), 0.0, 0.0, rt * (1j * np.cos(minus) - np.sin(minus)))
     shape = r.shape + (4,)
-    u = delta / width
+    u = np.minimum(np.abs(delta / width), 64.0)  # exp(-64^2 / 4) is already 0.0, and u * u cannot overflow
     i1 = np.broadcast_to(np.exp(-0.25 * u * u)[..., None], shape)
     exits = [(split @ paths @ np.swapaxes(split, -1, -2)).reshape(shape) for paths in (free, kicked)]
     return TwoBranchState(*exits, i1, i1 * i1)

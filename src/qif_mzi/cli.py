@@ -1,8 +1,9 @@
 """Command-line front end: figure-data regeneration, port tables, SI design, verification.
 
 Configuration is a flat ``key = value`` document ('#' starts a comment, one
-pair per line); command-line flags override file values, and unknown keys
-fail closed.  Float values accept a ``pi`` suffix (``0.75pi`` -> 3 pi / 4).
+pair per line) and ``--key value`` or ``--key=value`` flags, which override
+file values; one rule refuses unknown, repeated and empty keys in both.
+Float values accept a ``pi`` suffix (``0.75pi`` -> 3 pi / 4).
 Each mode returns one table of typed columns, written as CSV (17 significant
 digits, '\\n' endings) or JSON (array of objects); identical configurations
 produce byte-identical files.
@@ -10,7 +11,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -86,24 +86,24 @@ class RunConfig:
     out: str | None = _key(None, "output file path", optional=MODES)
     format: str = _key("csv", "csv or json", optional=MODES,
                        checks=((lambda v: v in ("csv", "json"), "expected csv or json"),))
-    r: float = _key(BALANCED_R, "splitter reflection magnitude in [0, 1] (default balanced)",
+    r: float = _key(BALANCED_R, "splitter reflection magnitude in [0, 1]",
                     optional=("distributions", "ports"), checks=((lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),))
-    width: float = _key(1.0, "packet momentum width W (default 1)", optional=_POINT_MODES,
+    width: float = _key(1.0, "packet momentum width W", optional=_POINT_MODES,
                         checks=(_POSITIVE, _NORMAL_DOUBLE))
     delta_over_w: float | None = _key(None, "momentum kick in units of W", required=_POINT_MODES,
                                       checks=(_NON_NEGATIVE,))
     phi: float | None = _key(None, "path phase, radians ('pi' suffix allowed)", required=_POINT_MODES)
     alpha: float = _key(0.0, "interaction phase, radians", required=_POINT_MODES, optional=("sweep",))
-    port: str = _key("dc", "post-selected exit pair: cc, cd, dc or dd (default dc)", optional=("distributions",),
+    port: str = _key("dc", "post-selected exit pair: cc, cd, dc or dd", optional=("distributions",),
                      checks=((lambda v: v in tuple(p.value for p in PortPair), "expected one of cc, cd, dc, dd"),))
-    grid_span: float = _key(8.0, "half-width of report grids in units of W (default 8)", optional=_GRID_MODES,
+    grid_span: float = _key(8.0, "half-width of report grids in units of W", optional=_GRID_MODES,
                             checks=(_POSITIVE,))
-    grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd (default 2001)",
+    grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd",
                             optional=_GRID_MODES, checks=(_ODD_GRID, _at_most(MAX_GRID_POINTS)))
     joint_grid_points: int = _key(numeric.DEFAULT_JOINT_POINTS,
-                                  "two-particle oracle grid points per axis, odd (default 513)",
+                                  "two-particle oracle grid points per axis, odd",
                                   optional=("verify",), checks=(_ODD_GRID, _at_most(MAX_JOINT_GRID_POINTS)))
-    kick_points: int = _key(numeric.DEFAULT_KICK_POINTS, "DFT size of the kick oracle (default 4096)",
+    kick_points: int = _key(numeric.DEFAULT_KICK_POINTS, "DFT size of the kick oracle",
                             optional=("verify",),
                             checks=((lambda n: n >= 16, "must be >= 16"), _at_most(MAX_KICK_POINTS)))
     delta_over_w_min: float | None = _key(None, "sweep start of delta/W", required=("sweep",), checks=(_NON_NEGATIVE,))
@@ -214,10 +214,23 @@ def _parse_int(raw: str, key: str, line: int | None) -> int:
         raise ConfigError(f"key '{key}': cannot parse integer from {raw!r}", line) from None
 
 
-def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, int]]:
+def _enter(raw: dict[str, str], lines: dict[str, int | None], key: str, value: str, line: int | None) -> None:
+    """Enter one key and its value, from a file line or (``line`` None) a flag: unknown, repeated and empty
+    keys are refused by this one rule for both."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key '{key}'", line)
+    if key in raw:
+        first = "" if lines[key] is None else f" (first set on line {lines[key]})"
+        raise ConfigError(f"duplicate key '{key}'{first}", line)
+    if not value:
+        raise ConfigError(f"key '{key}' has an empty value", line)
+    raw[key], lines[key] = value, line
+
+
+def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, int | None]]:
     """Flat key=value parsing with unknown/duplicate keys rejected at their line."""
     raw: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    lines: dict[str, int | None] = {}
     for lineno, original in enumerate(text.splitlines(), start=1):
         stripped = original.split("#", 1)[0].strip()
         if not stripped:
@@ -225,24 +238,13 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, int]]:
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {original.strip()!r}", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"unknown key '{key}'", lineno)
-        if key in raw:
-            raise ConfigError(f"duplicate key '{key}' (first set on line {lines[key]})", lineno)
-        if not value:
-            raise ConfigError(f"key '{key}' has an empty value", lineno)
-        raw[key] = value
-        lines[key] = lineno
+        _enter(raw, lines, key, value, lineno)
     return raw, lines
 
 
-def build_config(raw: dict[str, str], lines: dict[str, int] | None = None) -> RunConfig:
+def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None) -> RunConfig:
     """Type, mode and range validation of a raw key->string mapping."""
-    lines = lines or {}
-
-    def where(key: str) -> int | None:
-        return lines.get(key)
-
+    where = (lines or {}).get
     if "mode" not in raw:
         raise ConfigError(
             "missing required key 'mode' (mode plus the mode's own keys are required; "
@@ -650,8 +652,7 @@ def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> str:
 def _write_artifact(path: str, text: str) -> None:
     try:
         target = Path(path)
-        if target.parent and not target.parent.exists():
-            target.parent.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         with open(target, "w", newline="") as handle:
             handle.write(text)
     except OSError as err:
@@ -662,72 +663,74 @@ def _write_artifact(path: str, text: str) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qif-mzi",
-        description=(
-            "Post-selected two-electron interferometer: distributions, term decomposition, "
-            "parameter sweeps, exit-port tables, SI experiment design, and oracle verification."
-        ),
-    )
-    parser.add_argument("mode", nargs="?", default=None, help=_KEYS["mode"].metadata["help"])
-    parser.add_argument("--config", metavar="FILE", default=None, help="key = value configuration file")
-    for key, f in _KEYS.items():
-        if key != "mode":
-            parser.add_argument(
-                "--" + key.replace("_", "-"), metavar=_KINDS[key].__name__.upper(), help=f.metadata["help"]
-            )
-    return parser
+_FLAGS = {"--" + key.replace("_", "-"): key for key in _KEYS if key != "mode"}  # the positional is mode's only spelling
 
 
-def _join_key_values(argv: list[str]) -> list[str]:
-    """``--key value`` -> ``--key=value`` for each key flag, so that argparse never reads -0.5pi as an option."""
-    flags = {"--" + key.replace("_", "-") for key in _KEYS if key != "mode"}
-    joined, args = [], iter(argv)
+def _help_text() -> str:
+    """``--help``: the usage lines, then each key of :class:`RunConfig` with its type, help text and default."""
+    rows = [("mode", _KEYS["mode"].metadata["help"]), ("--config FILE", "key = value file; flags override its keys")]
+    for flag, key in _FLAGS.items():
+        default = _KEYS[key].default
+        rows.append((f"{flag} {_KINDS[key].__name__.upper()}",
+                     _KEYS[key].metadata["help"] + ("" if default is None else f" (default {default})")))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join(["usage: qif-mzi [mode] [--config FILE] [--key value | --key=value ...]",
+                      "Unknown, repeated and empty keys are errors (exit 2) in flags as in files; no abbreviations.",
+                      *(f"  {name:<{width}}{text}" for name, text in rows)])
+
+
+def _read_argv(argv: list[str]) -> tuple[str | None, dict[str, str], dict[str, int | None]] | None:
+    """``[mode] [--config FILE] [--key value | --key=value ...]`` as (config file, raw, lines), or None for ``-h``
+    or ``--help``.  A flag takes the next argument as its value whatever it is (``--phi -0.5pi``), and each entry
+    passes the file's rule with no line: a flag that spells no key, such as ``--mode`` or a prefix, is unknown."""
+    path, raw, lines = None, {}, {}
+    args = iter(argv)
     for arg in args:
-        value = next(args, None) if arg in flags else None
-        joined.append(arg if value is None else f"{arg}={value}")
-    return joined
+        if arg in ("-h", "--help"):
+            return None
+        if not arg.startswith("-"):
+            _enter(raw, lines, "mode", arg, None)
+            continue
+        flag, joined, value = arg.partition("=")
+        value = value if joined else next(args, "")
+        if flag != "--config":
+            _enter(raw, lines, _FLAGS.get(flag, flag), value, None)
+        elif path is not None:
+            raise ConfigError("option '--config' is given twice")
+        else:
+            path = value
+    return path, raw, lines
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_key_values(sys.argv[1:] if argv is None else argv))
+    """Run one command line (default ``sys.argv[1:]``) and return its exit status: 0, 1 for a run that fails
+    (dark port, unresolved grid, unwritable output, failed suite), 2 for a malformed command line or config."""
     try:
-        raw: dict[str, str] = {}
-        lines: dict[str, int] = {}
-        if args.config is not None:
+        command = _read_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            print(_help_text())
+            return 0
+        path, raw, lines = command
+        if path is not None:  # flags override the file's keys; errors in an overridden key point at no line
             try:
-                text = Path(args.config).read_text()
-            except OSError as err:
-                raise ConfigError(f"cannot read config file {args.config!r}: {err}") from err
-            raw, lines = parse_config_text(text)
-        for key in _KEYS:  # the positional mode and every --key flag override the file
-            override = getattr(args, key)
-            if override is not None:
-                raw[key] = override
-                lines.pop(key, None)  # overridden: errors no longer point at the file
+                text = Path(path).read_text()
+            except (OSError, UnicodeError) as err:
+                raise ConfigError(f"cannot read config file {path!r}: {err}") from err
+            file_raw, file_lines = parse_config_text(text)
+            raw, lines = {**file_raw, **raw}, {**file_lines, **lines}
         config = build_config(raw, lines)
         result = execute(config)
+        for line in result.summary:
+            print(line)
+        if config.out is not None:
+            _write_artifact(config.out, write_table(result.columns, result.rows, config.format))
+            print(f"wrote {len(result.rows)} row(s) to {config.out} ({config.format})")
     except ConfigError as err:
         print(f"qif-mzi: config error: {err}", file=sys.stderr)
         return 2
-    except (DarkPortError, GridError) as err:
+    except (DarkPortError, GridError, OSError) as err:
         print(f"qif-mzi: error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"qif-mzi: error: {err}", file=sys.stderr)
-        return 1
-
-    for line in result.summary:
-        print(line)
-    if config.out is not None:
-        try:
-            _write_artifact(config.out, write_table(result.columns, result.rows, config.format))
-        except OSError as err:
-            print(f"qif-mzi: error: {err}", file=sys.stderr)
-            return 1
-        print(f"wrote {len(result.rows)} row(s) to {config.out} ({config.format})")
     return result.exit_code
 
 

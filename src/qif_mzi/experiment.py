@@ -156,12 +156,13 @@ def _checks(inputs: ExperimentInputs, derived: dict) -> tuple[ValidityCheck, ...
     )
 
 
-def derive_setup(inputs: ExperimentInputs, constants: PhysicalConstants = CODATA2018) -> DerivedSetup:
+def derive_setup(inputs: ExperimentInputs) -> DerivedSetup:
     """All derived numbers for one configuration; pure and deterministic.
 
     Raises ValueError naming the first derived quantity that is not a finite
     double (inputs far outside any laboratory range can overflow one).
     """
+    constants = CODATA2018  # the set free_spread_width uses too
     coulomb = constants.q * constants.q / (4.0 * math.pi * constants.eps0)
     derived: dict[str, float] = {}
     formulas = {  # in order: each formula reads only the quantities above it
@@ -190,11 +191,7 @@ class TuneResult(NamedTuple):
     setup: DerivedSetup
 
 
-def separation_for_alpha(
-    inputs: ExperimentInputs,
-    alpha_magnitude: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
+def separation_for_alpha(inputs: ExperimentInputs, alpha_magnitude: float) -> float:
     """Separation at which |alpha| equals the requested magnitude.
 
     t = L/v does not depend on d, so |alpha| scales as 1/d and inverts
@@ -202,20 +199,16 @@ def separation_for_alpha(
     """
     if not alpha_magnitude > 0.0:
         raise ValueError(f"target |alpha| must be positive, got {alpha_magnitude!r}")
-    setup = derive_setup(inputs, constants)
+    setup = derive_setup(inputs)
     return inputs.separation * abs(setup.alpha) / alpha_magnitude
 
 
-def tune_separation(
-    inputs: ExperimentInputs,
-    n: int | None = None,
-    constants: PhysicalConstants = CODATA2018,
-) -> TuneResult:
+def tune_separation(inputs: ExperimentInputs, n: int | None = None) -> TuneResult:
     """Adjust d so that |alpha| is an exact multiple of 2 pi (e^{i alpha} = 1).
 
     With ``n`` omitted, the multiple nearest to |alpha(d)| / 2 pi is used.
     """
-    setup = derive_setup(inputs, constants)
+    setup = derive_setup(inputs)
     magnitude = abs(setup.alpha)
     if n is None:
         n = round(magnitude / (2.0 * math.pi))
@@ -223,11 +216,11 @@ def tune_separation(
             raise ValueError(f"|alpha| = {magnitude:.3g} rad is nearest to 0 x 2 pi; request a positive multiple")
     elif n < 1:
         raise ValueError(f"target multiple must be a positive integer, got {n!r}")
-    separation = separation_for_alpha(inputs, 2.0 * math.pi * n, constants)
+    separation = separation_for_alpha(inputs, 2.0 * math.pi * n)
     if not (math.isfinite(separation) and separation > 0.0):
         raise ValueError(f"the tuned separation for |alpha| = {n} x 2 pi is {separation!r}, not a positive double")
     try:
-        tuned = derive_setup(replace(inputs, separation=separation), constants)
+        tuned = derive_setup(replace(inputs, separation=separation))
     except ValueError as err:
         raise ValueError(f"at the tuned separation {separation:g} m, {err}") from None
     return TuneResult(separation, int(n), tuned)

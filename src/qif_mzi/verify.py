@@ -49,8 +49,8 @@ def _draw_params(rng: np.random.Generator, draws: int, delta_max: float) -> np.n
 
 
 def check_marginal_oracle(
-    draws: int = 100,
-    seed: int = 12345,
+    draws: int,
+    seed: int,
     span: float = numeric.DEFAULT_SPAN,
     points: int = numeric.DEFAULT_JOINT_POINTS,
     tolerance: float = 1e-9,
@@ -100,7 +100,7 @@ def check_momentum_kick(n_points: int = numeric.DEFAULT_KICK_POINTS) -> list[Che
     ]
 
 
-def check_port_sums(draws: int = 1000, seed: int = 12345) -> list[CheckResult]:
+def check_port_sums(draws: int, seed: int) -> list[CheckResult]:
     """Unitarity, the unconditioned momentum balance, and portwise negation, over all draws at once."""
     r, phi, alpha, delta = _draw_params(np.random.default_rng(seed), draws, delta_max=4.0).T
     ports = analytic.port_states(r, phi, alpha, delta)
@@ -120,9 +120,7 @@ def check_port_sums(draws: int = 1000, seed: int = 12345) -> list[CheckResult]:
     ]
 
 
-def check_mean_conventions(
-    span: float = numeric.DEFAULT_SPAN, points: int = numeric.DEFAULT_GRID_POINTS
-) -> CheckResult:
+def check_mean_conventions(span: float, points: int) -> CheckResult:
     """Quadrature mean of the marginal vs the closed form, at the headline point.
 
     The detail line reports both overlap conventions and their difference;
@@ -142,9 +140,7 @@ def check_mean_conventions(
     return CheckResult.from_deviation("postselected_mean_quadrature", abs(quad_mean - closed), 1e-9, detail)
 
 
-def check_purity_routes(
-    span: float = numeric.DEFAULT_SPAN, points: int = numeric.DEFAULT_JOINT_POINTS
-) -> CheckResult:
+def check_purity_routes(span: float, points: int) -> CheckResult:
     """Gram-algebra purity vs the trace of rho^2 from the grid-sampled kernel."""
     state = analytic.reduced_state(HEADLINE_PARAMS, 1)
     gram_route = state.purity()
@@ -158,16 +154,9 @@ def check_purity_routes(
     )
 
 
-def run_all(
-    seed: int = 12345,
-    draws_marginal: int = 100,
-    draws_ports: int = 1000,
-    span: float = numeric.DEFAULT_SPAN,
-    grid_points: int = numeric.DEFAULT_GRID_POINTS,
-    joint_points: int = numeric.DEFAULT_JOINT_POINTS,
-    kick_points: int = numeric.DEFAULT_KICK_POINTS,
-) -> list[CheckResult]:
-    """The full verification battery, in a fixed order."""
+def run_all(*, seed: int, draws_marginal: int, draws_ports: int, span: float, grid_points: int, joint_points: int,
+            kick_points: int) -> list[CheckResult]:
+    """The full verification battery, in a fixed order; ``cli.RunConfig`` holds the defaults of the arguments."""
     results = [check_marginal_oracle(draws_marginal, seed, span, joint_points)]
     results.extend(check_momentum_kick(kick_points))
     results.extend(check_port_sums(draws_ports, seed + 1))

@@ -721,6 +721,159 @@ def test_main_unwritable_output(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "1e200", "--delta-over-w-steps", "5",
+     "--phi-min", "0", "--phi-max", "1", "--phi-steps", "3"],
+    ["ports", "--delta-over-w", "1e200", "--phi", "1", "--alpha", "0"],
+], ids=["sweep", "ports"])
+def test_main_kick_past_any_overlap_emits_finite_table_without_warnings(argv, tmp_path, capsys):
+    out = tmp_path / "table.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads(out.read_text())
+    assert all(math.isfinite(cell) for row in rows for cell in row.values() if not isinstance(cell, str))
+
+
+_PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--bogus"], "unknown key '--bogus'"),
+    ([*_PORTS, "--phi", "0.75pi", "--al", "-0.5pi"], "unknown key '--al'"),  # no abbreviations
+    ([*_PORTS, "--phi", "0.75pi", "--phi", "1"], "duplicate key 'phi'"),
+    ([*_PORTS, "--phi=0.75pi", "--phi", ""], "duplicate key 'phi'"),
+    ([*_PORTS, "--phi"], "key 'phi' has an empty value"),
+    ([*_PORTS, "--phi="], "key 'phi' has an empty value"),
+    (["ports", "extra"], "duplicate key 'mode'"),
+    (["--mode", "ports", *_PORTS[1:], "--phi", "1"], "unknown key '--mode'"),  # the positional is mode's spelling
+    ([*_PORTS, "--phi", "1", "-x"], "unknown key '-x'"),
+    ([*_PORTS, "--phi", "1", "--"], "unknown key '--'"),
+], ids=["unknown", "abbreviation", "repeated", "repeated-empty", "trailing", "joined-empty", "stray-positional",
+        "mode-flag", "short-flag", "double-dash"])
+def test_main_malformed_command_line_is_a_config_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qif-mzi: config error: {message}\n"
+    assert captured.out == ""
+
+
+def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"mode = ports\n\xff\xfe\n")
+    text = tmp_path / "run.cfg"
+    text.write_text(FIG2C_TEXT)
+    assert main(["--config", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith(f"qif-mzi: config error: cannot read config file {str(binary)!r}")
+    assert main(["--config", str(text), "--config", str(text)]) == 2
+    assert capsys.readouterr().err == "qif-mzi: config error: option '--config' is given twice\n"
+
+
+_FLAGS = {"--" + key.replace("_", "-") for key in cli._KEYS if key != "mode"}
+
+
+def test_main_help_is_generated_from_the_key_table(capsys):
+    for argv in (["--help"], ["-h"], ["ports", "--phi", "1", "-h"]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: qif-mzi [mode] [--config FILE] [--key value | --key=value ...]\n")
+        entries = {line.split()[0]: line for line in text.splitlines() if line.startswith("  ")}
+        assert set(entries) == {"mode", "--config"} | _FLAGS
+        for key, f in cli._KEYS.items():
+            line = entries[key if key == "mode" else "--" + key.replace("_", "-")]
+            assert f.metadata["help"] in line
+            if key != "mode":
+                assert line.split()[1] == cli._KINDS[key].__name__.upper()
+                assert line.endswith(f" (default {f.default})") == (f.default is not None)
+    assert main(["--out", "-h", "--help"]) == 0  # a flag's value is never read as a flag
+    assert "--waist-longitudinal-m FLOAT" in capsys.readouterr().out
+
+
+# Entries that the flags and a file both spell, for the argv property below.
+_ARGV_VALUES = {  # (accepted values, a refused value)
+    "delta_over_w": (["0.3", "1.5", "0"], "-0.3"),
+    "phi": (["0.75pi", "-0.5pi", "-2.1", "pi"], "abc"),
+    "alpha": (["0", "-1e-5", "-.5", "0.4pi"], ""),
+    "r": (["0.4", "0.9", "1"], "-0.1"),
+    "width": (["2", "0.5"], "0"),
+    "port": (["cd", "dd", "dc", "cc"], "xx"),
+    "grid_points": (["11", "31"], "100"),
+    "format": (["csv", "json"], "xml"),
+}
+_OPTIONAL = {"ports": ["r", "width", "format"], "distributions": ["r", "width", "format", "port", "grid_points"]}
+_MOSTLY = st.sampled_from([True] * 9 + [False])
+_FLAG_PREFIXES = sorted({flag[:n] for flag in _FLAGS for n in range(3, len(flag))} - _FLAGS - {"--config"})
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config-file text or None): a set of entries as flags, each '--key value' or '--key=value', and
+    the same entries as a file; or the flags with one fault that only a command line can hold (file None).
+    One draw in ten leaves out the mode or a required key, or takes a refused value."""
+    mode = draw(st.sampled_from(["ports", "distributions"]))
+    keys = [key for key in ("delta_over_w", "phi", "alpha") if draw(_MOSTLY)]
+    keys += draw(st.lists(st.sampled_from(_OPTIONAL[mode]), unique=True, max_size=3))
+    entries = []
+    for key in draw(st.permutations(keys)):
+        accepted, refused = _ARGV_VALUES[key]
+        entries.append((key, draw(st.sampled_from(accepted)) if draw(_MOSTLY) else refused))
+    mode = mode if draw(_MOSTLY) else None
+    units = []  # whole arguments: the mode, or one flag with its value
+    for key, value in entries:
+        flag = "--" + key.replace("_", "-")
+        units.append(draw(st.sampled_from([[f"{flag}={value}"], [flag, value]])))
+    if mode is not None:
+        units.insert(draw(st.integers(0, len(units))), [mode])
+    fault = draw(st.sampled_from([None, None, None, "repeat", "prefix", "unknown", "positional", "mode-flag"]))
+    if fault is None:
+        lines = ([] if mode is None else [f"mode = {mode}"]) + [f"{key} = {value}" for key, value in entries]
+        return [arg for unit in units for arg in unit], "\n".join(lines) + "\n"
+    if fault == "repeat" and entries:
+        key, _ = draw(st.sampled_from(entries))
+        extra = ["--" + key.replace("_", "-"), draw(st.sampled_from(_ARGV_VALUES[key][0]))]
+    elif fault == "prefix":
+        extra = [draw(st.sampled_from(_FLAG_PREFIXES)), draw(st.sampled_from(["1", "-0.5pi"]))]
+    elif fault == "positional":
+        extra = [draw(st.sampled_from(["ports", "extra", "0.3"]))] + ([] if mode is not None else ["ports"])
+    elif fault == "mode-flag":
+        extra = ["--mode", "ports"]
+    else:
+        extra = [draw(st.sampled_from(["--bogus", "--bogus=1", "-x", "--"]))]
+    units.insert(draw(st.integers(0, len(units))), extra)
+    return [arg for unit in units for arg in unit], None
+
+
+@settings(max_examples=80, deadline=None)
+@given(command_lines())
+@example((["ports", "--delta-over-w", "0.3", "--phi", "0.75pi", "--phi", "1", "--alpha", "0"], None))
+@example((["ports", "--delta-over-w", "0.3", "--phi", "-0.5pi", "--alpha", "-1e-5"],
+          "mode = ports\ndelta_over_w = 0.3\nphi = -0.5pi\nalpha = -1e-5\n"))
+def test_main_reads_flags_by_the_file_rule(command):
+    argv, document = command
+    with tempfile.TemporaryDirectory() as tmp:
+        out, config_file = Path(tmp) / "table.out", Path(tmp) / "run.cfg"
+        runs = [argv]
+        if document is not None:
+            config_file.write_text(document)
+            runs.append(["--config", str(config_file)])
+        results = []
+        for run in runs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(run + ["--out", str(out)])
+            assert code in (0, 1, 2)
+            assert (code == 0) == (stderr.getvalue() == "")
+            if code == 2:
+                assert stderr.getvalue().startswith("qif-mzi: config error: ") and stdout.getvalue() == ""
+            results.append((code, stdout.getvalue() if code == 0 else None, out.read_bytes() if code == 0 else None))
+            out.unlink(missing_ok=True)
+    if document is None:  # a repeated or unknown flag, or a second positional
+        assert results[0][0] == 2
+    else:  # the same entries as flags or as a file: the same run, byte for byte
+        assert results[0] == results[1]
+
+
 def test_bundled_presets_parse():
     for name in ("fig2a", "fig2b", "fig2c", "fig3", "fig4", "design", "verify"):
         config = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
