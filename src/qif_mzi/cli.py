@@ -336,6 +336,11 @@ def _fmt_params(params: InterferometerParams) -> str:
     )
 
 
+def _fmt_mean(value: float) -> str:
+    """A signed summary value: six decimals, or six-digit scientific from 1e9 up, where fixed point runs long."""
+    return f"{value:+.6e}" if abs(value) >= 1e9 else f"{value:+.6f}"
+
+
 def _run_distributions(config: RunConfig) -> RunResult:
     params = config.model_params()
     port = PortPair(config.port)
@@ -353,7 +358,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
         dens2 = analytic.port_marginal_density(params, port, 2, p)
     w = params.width
     rows = typed_table({"p_over_W": p / w, "P1_times_W": dens1 * w, "P2_times_W": dens2 * w})
-    quad_mean = f"unresolved ({unresolved})" if unresolved else f"{grid.density_mean(dens1) / w:+.6f}"
+    quad_mean = f"unresolved ({unresolved})" if unresolved else _fmt_mean(grid.density_mean(dens1) / w)
     summary = [
         f"distributions mode: port {port.name}, {_fmt_params(params)}",
         f"  mean p1/W from quadrature of the emitted density: {quad_mean}",
@@ -362,13 +367,13 @@ def _run_distributions(config: RunConfig) -> RunResult:
         closed = analytic.mean_postselected(params, 1) / w
         single = analytic.mean_postselected_packet_overlap(params) / w
         summary += [
-            f"  mean p1/W, closed form with branch overlap I^2:  {closed:+.6f}",
-            f"  mean p1/W, closed form with packet overlap I:    {single:+.6f}",
-            f"  overlap-convention difference:                   {single - closed:+.6f}",
+            f"  mean p1/W, closed form with branch overlap I^2:  {_fmt_mean(closed)}",
+            f"  mean p1/W, closed form with packet overlap I:    {_fmt_mean(single)}",
+            f"  overlap-convention difference:                   {_fmt_mean(single - closed)}",
         ]
     else:
         mean = analytic.port_mean_momenta(params, 1)[port]
-        summary.append(f"  mean p1/W, closed form for port {port.name}: {mean / w:+.6f}")
+        summary.append(f"  mean p1/W, closed form for port {port.name}: {_fmt_mean(mean / w)}")
     return RunResult(rows, summary)
 
 
@@ -383,7 +388,7 @@ def _run_decompose(config: RunConfig) -> RunResult:
     summary = [
         f"decompose mode: {_fmt_params(params)}",
         f"  post-selection norm N = {analytic.postselect_norm(params):.6f}",
-        f"  interference term minimum: {float(np.min(cross)) * w:+.6f} (units 1/W)",
+        f"  interference term minimum: {_fmt_mean(float(np.min(cross)) * w)} (units 1/W)",
         f"  direct term is non-negative: min {float(np.min(direct)) * w:.3e}",
     ]
     return RunResult(rows, summary)
@@ -439,12 +444,12 @@ def _run_ports(config: RunConfig) -> RunResult:
     })
     summary = [f"ports mode: {_fmt_params(params)}"]
     for port in PortPair:
-        mean_text = f"{means1[port] / w:+.6f} W" if means1[port] is not None else "undefined (dark)"
+        mean_text = f"{_fmt_mean(means1[port] / w)} W" if means1[port] is not None else "undefined (dark)"
         summary.append(f"  P({port.name}) = {probs[port]:.6f}   mean p1 = {mean_text}")
     summary += [
         f"  sum of port probabilities: {sum(probs.values()):.12f}",
-        f"  unconditioned mean of p1, closed form -2 t^2 r^2 delta: {balance.closed_form / w:+.6f} W",
-        f"  unconditioned mean of p1, port-weighted sum:            {balance.weighted_sum / w:+.6f} W",
+        f"  unconditioned mean of p1, closed form -2 t^2 r^2 delta: {_fmt_mean(balance.closed_form / w)} W",
+        f"  unconditioned mean of p1, port-weighted sum:            {_fmt_mean(balance.weighted_sum / w)} W",
     ]
     return RunResult(rows, summary)
 

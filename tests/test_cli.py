@@ -736,6 +736,15 @@ def test_main_kick_past_any_overlap_emits_finite_table_without_warnings(argv, tm
     assert all(math.isfinite(cell) for row in rows for cell in row.values() if not isinstance(cell, str))
 
 
+def test_main_large_kick_summary_prints_means_in_scientific_notation(tmp_path, capsys):
+    argv = ["ports", "--delta-over-w", "1e200", "--phi", "1", "--alpha", "0", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(len(line) < 120 for line in lines)
+    assert lines[1] == "  P(CC) = 0.177018   mean p1 = -1.000000e+200 W"
+    assert lines[-2].endswith("port-weighted sum:            -5.000000e+199 W")
+
+
 _PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]
 
 

@@ -160,35 +160,42 @@ def _complex_oracle_marginal(params, electron, grid):
     return marginal / grid.integrate(marginal)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.0, 1.0),
     st.floats(-2.0 * math.pi, 2.0 * math.pi),
     st.floats(-2.0 * math.pi, 2.0 * math.pi).filter(lambda a: a != 0.0),
     st.floats(0.0, 3.0),
     st.integers(1, 2),
+    # 128 KiB row blocks: all 97 rows fit in one; 513 = 16 * 31 + 17 and 1025 = 68 * 15 + 5 end in a short one
+    st.sampled_from((97, numeric.DEFAULT_JOINT_POINTS, 1025)),
 )
-def test_oracle_real_planes_match_complex_field_bit_for_bit(r, phi, alpha, delta, electron):
+def test_oracle_real_planes_match_complex_field_bit_for_bit(r, phi, alpha, delta, electron, n):
     params = InterferometerParams(r, phi, alpha, delta, 1.0)
     if analytic.postselect_norm(params) < 1e-3:  # near-dark, skipped as the verify suite does
         return
-    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
+    grid = default_grid(n=n)
     oracle = joint_marginal_oracle(params, electron, grid)
     assert np.array_equal(oracle.values, _complex_oracle_marginal(params, electron, grid))
 
 
-def test_oracle_peak_allocation_is_three_real_planes():
-    params = InterferometerParams(0.6, 0.75 * math.pi, 0.4, 0.3, 1.0)
-    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
-    joint_marginal_oracle(params, 1, grid)  # fills the shared grid cache outside the trace
+def _peak_planes(fn, n):
+    """Traced peak allocation of one call, in n x n float64 planes."""
+    fn()  # fills the shared grid cache outside the trace
     tracemalloc.start()
     try:
-        joint_marginal_oracle(params, 1, grid)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # three n x n float64 planes live at once; complex temporaries would add at least one more
-    assert peak <= 3.25 * 8 * grid.n**2
+    return peak / (8 * n * n)
+
+
+def test_oracle_peak_allocation_is_one_real_plane_and_row_blocks():
+    params = InterferometerParams(0.6, 0.75 * math.pi, 0.4, 0.3, 1.0)
+    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
+    # the squared density plane plus two 128 KiB row blocks; whole-plane temporaries would add at least one more
+    assert _peak_planes(lambda: joint_marginal_oracle(params, 1, grid), grid.n) <= 1.25
 
 
 def test_oracle_rejects_narrow_grid():
@@ -299,6 +306,36 @@ def test_kernel_purity_with_complex_phase():
     params = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0)
     state = analytic.reduced_state(params, 1)
     assert kernel_purity(state.coeff, state.basis) == pytest.approx(state.purity(), abs=1e-9)
+
+
+def test_kernel_purity_peak_allocation_is_four_real_planes():
+    state = analytic.reduced_state(InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), 1)
+    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
+    # the complex kernel (two planes) is weighted in place; its squares share one plane plus one temporary
+    assert _peak_planes(lambda: kernel_purity(state.coeff, state.basis, grid), grid.n) <= 4.25
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.floats(0.0, 3.0),
+    st.integers(1, 2),
+)
+def test_kernel_purity_in_place_matches_out_of_place_formula_bit_for_bit(r, phi, alpha, delta, electron):
+    params = InterferometerParams(r, phi, alpha, delta, 1.0)
+    if analytic.postselect_norm(params) < 1e-3:
+        return
+    state = analytic.reduced_state(params, electron)
+    grid = MomentumGrid(-12.0, 12.0, 241)
+    sampled = np.stack([b(grid.points) for b in state.basis])
+    kernel = sampled.T @ (np.asarray(state.coeff) @ sampled)
+    root_w = np.sqrt(grid.simpson_weights())
+    w = root_w[:, None] * kernel * root_w[None, :]
+    total = float(np.trace(w).real)
+    expected = float(np.sum(w.real**2 + w.imag**2)) / (total * total)
+    assert kernel_purity(state.coeff, state.basis, grid) == expected
 
 
 def _eigen_purity(coeff, basis, grid):
