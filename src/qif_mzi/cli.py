@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, experiment, numeric, verify
+from . import analytic, experiment, floatfmt, numeric, verify
 from .core import (
     BALANCED_R,
     AliasingError,
@@ -329,10 +329,15 @@ def _report_grid(config: RunConfig, params: InterferometerParams) -> tuple[numer
     return grid, None
 
 
+def _fmt_phase(value: float) -> str:
+    """A phase in radians: eight decimals, or eight-digit scientific from 1e9 up, where fixed point runs long."""
+    return f"{value:.8e}" if abs(value) >= 1e9 else f"{value:.8f}"
+
+
 def _fmt_params(params: InterferometerParams) -> str:
     return (
         f"r={params.r:.6f}, delta/W={params.delta_over_width:g}, "
-        f"phi={params.phi:.8f} rad, alpha={params.alpha:.8f} rad"
+        f"phi={_fmt_phase(params.phi)} rad, alpha={_fmt_phase(params.alpha)} rad"
     )
 
 
@@ -408,7 +413,7 @@ def _run_sweep(config: RunConfig) -> RunResult:
     anomalous = surface.mean > 0.0
     count = int(np.count_nonzero(anomalous))
     summary = [
-        f"sweep mode: {deltas.size} x {phis.size} grid, alpha={config.alpha:.8f} rad",
+        f"sweep mode: {deltas.size} x {phis.size} grid, alpha={_fmt_phase(config.alpha)} rad",
         f"  anomalous (positive-mean) points: {count} of {surface.mean.size}"
         f" ({100.0 * count / surface.mean.size:.1f}%)",
     ]
@@ -544,62 +549,6 @@ def execute(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 2**12  # rows per byte matrix; a chunk of five float columns holds under 2 MB of temporaries
-_FLOAT_WIDTH = 24  # bytes of the longest float cell in either format, "-2.2250738585072014e-308"
-
-# "%.16e" over arrays: y = |x| 10^(16-k) is formed in long double from correctly rounded powers of ten, and
-# its two roundings leave it within 1e17 eps of the exact product.  Where long double is plain double, that
-# bound exceeds 1/2 and "%" formats every cell: slower, still exact.  A cell is six 4-byte words:
-# sign (or 0) d1 "." d2 | d3-d6 | d7-d10 | d11-d14 | d15-d17 "e" | the exponent's sign and 2 or 3 digits.
-_POW10 = np.array([f"1e{s}" for s in range(-400, 401)]).astype(np.longdouble)  # 10^(index - 400)
-_TOLERANCE = np.longdouble(1e17) * np.finfo(np.longdouble).eps
-_HEADS = np.frombuffer(b"".join(sign + b"%d.%d" % divmod(i, 10) for sign in (b"\0", b"-") for i in range(100)),
-                       np.uint32)
-_DIGITS4 = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).copy().view(np.uint32)[:, 0]
-_DIGITS3 = np.frombuffer(b"".join(b"%03de" % i for i in range(10**3)), np.uint32)
-_EXPONENTS = np.frombuffer(b"".join((b"%+03d" % k).ljust(4, b"\0") for k in range(-400, 401)), np.uint32)
-
-
-def _format_e16(values: np.ndarray) -> np.ndarray:
-    """``b"%.16e" % v`` for each finite float64 of ``values``, zero-padded to shape ``values.shape + (24,)``: the
-    digits are rint(y) for y = |v| 10^(16-k) in [1e16, 1e17), and ``%`` formats the cells whose y lies within the
-    error bound of a half-integer (a rounding the bound cannot decide) or of either end of that range."""
-    x = values.ravel()
-    nonzero = x != 0.0
-    a = np.abs(x).astype(np.longdouble)
-    k = np.zeros(x.size, np.int64)
-    k[nonzero] = np.floor(np.log10(np.abs(x[nonzero])))
-    y = a * _POW10[416 - k]
-    # k follows y before rounding (log10 can miss by one next to a power of ten); taking it from the rounded
-    # digits would print 1e-304 as 1.0000000000000000e-304, not 9.9999999999999997e-305.
-    moved = np.flatnonzero(nonzero & ((y < 1e16) | (y >= 1e17)))
-    k[moved] += np.where(y[moved] >= 1e17, 1, -1)
-    y[moved] = a[moved] * _POW10[416 - k[moved]]
-    digits = np.rint(y)
-    uncertain = (np.abs(y - digits) >= 0.5 - _TOLERANCE) | (y <= 1e16 + _TOLERANCE) | (y >= 1e17 - _TOLERANCE)
-    uncertain &= nonzero
-    carry = digits >= 1e17  # the double 1e-14 lies below 10^-14 and prints as 1.0000000000000000e-14
-    digits[carry], k[carry] = 1e16, k[carry] + 1
-    head, rest = np.divmod(digits.astype(np.int64), 10**15)
-    words = np.empty((x.size, 6), np.uint32)
-    words[:, 0] = _HEADS[np.signbit(x) * 100 + head]
-    for j, scale in enumerate((10**11, 10**7, 10**3), start=1):
-        group, rest = np.divmod(rest, scale)
-        words[:, j] = _DIGITS4[group]
-    words[:, 4] = _DIGITS3[rest]
-    words[:, 5] = _EXPONENTS[k + 400]
-    out = words.view(np.uint8)
-    exact = np.array([b"%.16e" % v for v in x[uncertain].tolist()], dtype=f"S{_FLOAT_WIDTH}")
-    out[uncertain] = exact.view(np.uint8).reshape(-1, _FLOAT_WIDTH)
-    return out.reshape(values.shape + (_FLOAT_WIDTH,))
-
-
-def _format_repr(values: np.ndarray) -> np.ndarray:
-    """``repr(v)``, json.dumps's text, for each float64 of ``values``, zero-padded to shape ``values.shape + (24,)``.
-    Each bit pattern is formatted once: grid axes repeat, and -0.0 stays apart from 0.0."""
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    text = np.fromiter(map(repr, bits.view(np.float64).tolist()), f"S{_FLOAT_WIDTH}", count=bits.size)
-    return text[inverse].view(np.uint8).reshape(values.shape + (_FLOAT_WIDTH,))
-
 
 # Text of an int or str cell (ASCII str, or UTF-8 bytes that keep lone surrogates as a str does) and its
 # "S" dtype, fixed where the kind bounds it (an int64 takes 20 characters) to halve numpy's cost.
@@ -613,9 +562,10 @@ def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> str:
     Rows are rendered in chunks of ``_CHUNK_ROWS``, each one uint8 matrix of zero-padded cell blocks between
     constant separator blocks.  Each chunk drops its zero bytes in one pass onto one byte buffer, decoded once
     at the end (a str per chunk, joined, raised the cli-modes benchmark's peak RSS by 1.5 MB).  CSV floats are
-    ``"%.16e" % v``, with digits certified in long double arithmetic and ``%`` itself formatting the cells the
-    error bound leaves uncertain; JSON is ``json.dumps(objects, indent=2)`` of the rows as objects.  Identical
-    inputs give identical bytes.  Floats must be finite, since JSON cannot spell nan or inf.
+    ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`, with
+    ``%`` or ``repr`` itself formatting the cells its error bound cannot decide.  JSON is
+    ``json.dumps(objects, indent=2)`` of the rows as objects.  Identical inputs give identical bytes.  Floats
+    must be finite, since JSON cannot spell nan or inf.
     """
     if list(columns) != list(rows.dtype.names):
         raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.dtype.names)}")
@@ -639,7 +589,7 @@ def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> str:
         chunk, cells = rows[start:start + _CHUNK_ROWS], {}
         if floats:  # one call for every float column: a call per column costs wide tables dearly
             stacked = np.stack([chunk[name] for name in floats], axis=1)
-            cells = dict(zip(floats, np.moveaxis((_format_e16 if fmt == "csv" else _format_repr)(stacked), 1, 0)))
+            cells = dict(zip(floats, np.moveaxis((floatfmt.e16 if fmt == "csv" else floatfmt.shortest)(stacked), 1, 0)))
         for name, kind in zip(columns, kinds):
             if kind != "f":
                 text, dtype = _CELL_TEXT[fmt, kind]
@@ -728,7 +678,12 @@ def main(argv: list[str] | None = None) -> int:
         for line in result.summary:
             print(line)
         if config.out is not None:
-            _write_artifact(config.out, write_table(result.columns, result.rows, config.format))
+            try:
+                text = write_table(result.columns, result.rows, config.format)
+            except ValueError as err:  # a non-finite cell, such as a NaN verify deviation: no table is written
+                print(f"qif-mzi: error: {err}", file=sys.stderr)
+                return 1
+            _write_artifact(config.out, text)
             print(f"wrote {len(result.rows)} row(s) to {config.out} ({config.format})")
     except ConfigError as err:
         print(f"qif-mzi: config error: {err}", file=sys.stderr)

@@ -170,6 +170,8 @@ class Distribution1D:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid.n,):
             raise GridError(f"expected {self.grid.n} samples, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):  # NaN passes every comparison below
+            raise ValueError("density samples must be finite")
         peak = float(values.max())
         if float(values.min()) < -1e-12 * max(peak, 1.0):
             raise ValueError("density samples must be non-negative")

@@ -62,7 +62,7 @@ def check_marginal_oracle(
     """
     rng = np.random.default_rng(seed)
     grid = numeric.default_grid(1.0, span, points)
-    worst = 0.0
+    deviations = []
     for _ in range(draws):
         while True:
             params = InterferometerParams(*_draw_params(rng, 1, delta_max=3.0)[0].tolist(), width=1.0)
@@ -71,8 +71,9 @@ def check_marginal_oracle(
         electron = 1 if rng.uniform() < 0.5 else 2
         oracle = numeric.joint_marginal_oracle(params, electron, grid)
         closed = analytic.marginal_density(params, electron, grid.points, normalized=True)
-        worst = max(worst, float(np.max(np.abs(oracle.values - closed))))
-    return CheckResult.from_deviation("marginal_oracle_vs_closed_form", worst, tolerance, f"{draws} draws")
+        deviations.append(np.max(np.abs(oracle.values - closed)))
+    # np.max, not max: Python's max(0.0, nan) is 0.0, and a NaN deviation must fail the check
+    return CheckResult.from_deviation("marginal_oracle_vs_closed_form", np.max(deviations), tolerance, f"{draws} draws")
 
 
 def check_momentum_kick(n_points: int = numeric.DEFAULT_KICK_POINTS) -> list[CheckResult]:
@@ -80,20 +81,18 @@ def check_momentum_kick(n_points: int = numeric.DEFAULT_KICK_POINTS) -> list[Che
     packet = HEADLINE_PARAMS.packet()
     kicked = numeric.momentum_kick_oracle(packet, 0.3, n_points)
     identity = numeric.momentum_kick_oracle(packet, 0.0, n_points)
-    parseval = max(
-        abs(kicked.momentum_norm - kicked.position_norm),
-        abs(identity.momentum_norm - identity.position_norm),
-    )
+    parseval = np.max(np.abs([kicked.momentum_norm - kicked.position_norm,
+                              identity.momentum_norm - identity.position_norm]))
     return [
         CheckResult.from_deviation(
             "kick_oracle_density",
-            max(kicked.max_density_deviation, abs(kicked.mean_shift + 0.3), abs(kicked.width_change)),
+            np.max(np.abs([kicked.max_density_deviation, kicked.mean_shift + 0.3, kicked.width_change])),
             1e-8,
             f"mean shift {kicked.mean_shift:+.10f} W",
         ),
         CheckResult.from_deviation(
             "kick_oracle_identity",
-            max(identity.max_density_deviation, abs(identity.mean_shift), abs(identity.width_change)),
+            np.max(np.abs([identity.max_density_deviation, identity.mean_shift, identity.width_change])),
             1e-12,
         ),
         CheckResult.from_deviation("kick_oracle_parseval", parseval, 1e-12),

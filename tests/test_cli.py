@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qif_mzi import ConfigError, GaussianPacket, InterferometerParams, PortPair, analytic, cli, numeric
+from qif_mzi import ConfigError, GaussianPacket, InterferometerParams, PortPair, analytic, cli, floatfmt, numeric
 from qif_mzi.cli import build_config, execute, main, parse_config, typed_table, write_table
 
 REPO = Path(__file__).resolve().parent.parent
@@ -234,19 +234,89 @@ def test_csv_floats_are_exactly_percent_e16_on_a_battery():
     ]
 
 
-def test_csv_floats_stay_exact_when_long_double_is_double(monkeypatch):
-    # with a plain double long double the error bound is 1e17 * 2^-52 = 22: every cell goes to "%"
-    monkeypatch.setattr(cli, "_TOLERANCE", np.longdouble(1e17) * np.finfo(np.float64).eps)
-    _assert_exact_e16(_e16_battery()[::20])
+def _json_floats(values):
+    """Check a one-column JSON table against json.dumps of the same rows, naming the first wrong cells."""
+    values = np.asarray(values, dtype=np.float64)
+    text = write_table(["x"], typed_table({"x": values}), "json")
+    expected = json.dumps([{"x": v} for v in values.tolist()], indent=2) + "\n"
+    if text != expected:  # a diff of the whole text would take pytest minutes
+        wrong = [(got, want) for got, want in zip(text.splitlines(), expected.splitlines()) if got != want]
+        pytest.fail(f"{len(wrong)} wrong lines, first {wrong[:5]}")
 
 
-def test_power_of_ten_table_is_correctly_rounded():
-    eps = np.finfo(np.longdouble).eps
-    for s, entry in zip(range(-400, 401), cli._POW10):
-        exact = Fraction(10) ** s
-        _, exponent = np.frexp(entry)  # entry = m 2^exponent with 1/2 <= m < 1: its ulp is eps 2^(exponent - 1)
-        half_ulp = Fraction(float(eps)) * Fraction(2) ** (int(exponent) - 2)
-        assert abs(Fraction(*entry.as_integer_ratio()) - exact) <= half_ulp, s
+def _json_battery():
+    edges = [3.7e22, 7.4e22, 1e16, 9999999999999998.0, 1e-5, 0.0, -0.0, 5e-324, -5e-324, 1e-323,
+             2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308, 1e23, 0.1, 0.3, 2.0**-1022]
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate([_e16_battery(), edges, twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf), -twos])
+
+
+def test_json_floats_are_exactly_repr_on_a_battery():
+    # 3.7e22 and 7.4e22: an end of the rounding interval falls exactly on a short decimal, which the
+    # even-mantissa rule takes in; 1e16 and 9999999999999998.0 straddle the switch to exponent form
+    battery = _json_battery()
+    assert battery.size > floatfmt._SMALL
+    _json_floats(battery)
+
+
+def _padding(seed):
+    """_SMALL distinct finite doubles of random bit patterns."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, 2 * floatfmt._SMALL, dtype=np.uint64).view(np.float64)
+    return bits[np.isfinite(bits)][:floatfmt._SMALL]
+
+
+@settings(max_examples=200)
+@given(st.lists(_ANY_DOUBLE.filter(math.isfinite), min_size=1, max_size=40), st.integers(0, 2**32 - 1).map(_padding))
+@example([3.7e22, 7.4e22, 1e16, 9999999999999998.0, 1e-5, 0.0, -0.0, 5e-324], _padding(0))
+def test_array_path_floats_are_exactly_repr_and_percent_e16(values, padding):
+    # the drawn values ride with _SMALL random bit patterns, so that the array path formats them
+    cells = np.concatenate([values, padding])
+    assert np.unique(cells.view(np.int64)).size >= floatfmt._SMALL
+    _json_floats(cells)
+    _assert_exact_e16(cells)
+
+
+def test_floats_stay_exact_when_every_cell_falls_back(monkeypatch):
+    # with a margin of 1 no bound is decided: "%" and repr format every cell, and the bytes are unchanged
+    rendered = []
+    exact = floatfmt._exact
+    monkeypatch.setattr(floatfmt, "_exact", lambda values, render: (rendered.append(values.size),
+                                                                    exact(values, render))[1])
+    monkeypatch.setattr(floatfmt, "_MARGIN", 1.0)
+    battery = np.concatenate([_json_battery()[::20], [0.0, -0.0]])
+    nonzero = battery[battery != 0.0]  # zeros need no bound: the array path writes them itself
+    _assert_exact_e16(battery)
+    assert sum(rendered) == nonzero.size
+    rendered.clear()
+    _json_floats(battery)
+    assert sum(rendered) == np.unique(nonzero.view(np.int64)).size
+
+
+def test_double_double_powers_of_ten_are_correctly_rounded():
+    (hi, lo, b), *_ = floatfmt._tables()
+    for e, h, low, shift in zip(range(floatfmt._E_LO, floatfmt._E_HI + 1), hi.tolist(), lo.tolist(), b.tolist()):
+        exact = Fraction(10) ** e / Fraction(2) ** shift  # 10^e = (hi + lo) 2^b, hi in [1, 2) with ulp 2^-52
+        assert 1.0 <= h < 2.0
+        assert abs(Fraction(h) - exact) <= Fraction(1, 2**53), e
+        assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2**106, e
+
+
+def test_small_tables_take_the_exact_path(monkeypatch):
+    # under _SMALL values the array path's fixed cost exceeds its saving: every cell is rendered directly
+    monkeypatch.setattr(floatfmt, "_render", None)
+    values = np.linspace(-3.0, 3.0, floatfmt._SMALL - 1)
+    _assert_exact_e16(values)
+    _json_floats(values)
+
+
+def test_main_writes_through_the_module_attribute_write_table(monkeypatch, tmp_path):
+    # the benchmark times cli.write_table by wrapping that attribute: main must look it up there
+    calls = []
+    real = cli.write_table
+    monkeypatch.setattr(cli, "write_table", lambda *args: (calls.append(args[2]), real(*args))[1])
+    out = tmp_path / "fig2a.json"
+    assert main(["--config", str(REPO / "configs" / "fig2a.cfg"), "--format", "json", "--out", str(out)]) == 0
+    assert calls == ["json"] and out.stat().st_size > 0
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, "2n+1"])
@@ -743,6 +813,19 @@ def test_main_large_kick_summary_prints_means_in_scientific_notation(tmp_path, c
     assert all(len(line) < 120 for line in lines)
     assert lines[1] == "  P(CC) = 0.177018   mean p1 = -1.000000e+200 W"
     assert lines[-2].endswith("port-weighted sum:            -5.000000e+199 W")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ports", "--delta-over-w", "0.3", "--phi", "1e200", "--alpha", "0"],
+    ["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "-1e200"],
+    ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "1", "--delta-over-w-steps", "2",
+     "--phi-min", "0", "--phi-max", "1", "--phi-steps", "2", "--alpha", "1e200"],
+], ids=["ports-phi", "distributions-alpha", "sweep-alpha"])
+def test_main_large_phase_prints_a_short_header(argv, capsys):
+    # phi and alpha used to print with :.8f, a 276-character header for phi = 1e200
+    assert main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert len(header) < 120 and "e+200 rad" in header
 
 
 _PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]

@@ -107,6 +107,17 @@ def test_distribution_validation():
     assert dist.mean() == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_distribution_refuses_non_finite_samples(bad, normalized):
+    # every min/max and |total - 1| comparison is false for NaN, so only an explicit check refuses it
+    grid = MomentumGrid(-1.0, 1.0, 5)
+    values = np.ones(5) * 0.5
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Distribution1D(grid, values, normalized=normalized)
+
+
 # ---------------------------------------------------------------------------
 # two-particle marginal oracle
 # ---------------------------------------------------------------------------
