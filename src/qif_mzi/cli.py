@@ -5,8 +5,8 @@ pair per line) and ``--key value`` or ``--key=value`` flags, which override
 file values; one rule refuses unknown, repeated and empty keys in both.
 Float values accept a ``pi`` suffix (``0.75pi`` -> 3 pi / 4).
 Each mode returns one table of typed columns, written as CSV (17 significant
-digits, '\\n' endings) or JSON (array of objects); identical configurations
-produce byte-identical files.
+digits, '\\n' endings) or JSON (array of objects), in UTF-8 whatever the locale;
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -556,60 +556,69 @@ _CELL_TEXT = {("csv", "i"): (str, "S20"), ("json", "i"): (str, "S20"), ("json", 
               ("csv", "U"): (lambda text: text.encode("utf-8", "surrogatepass"), "S")}
 
 
-def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> str:
-    """Render a :func:`typed_table` as CSV or JSON text.
+def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
+    """The rows of one chunk: its (rows, width) blocks of zero-padded cells between the separators, zeros dropped.
+    Its matrix dies on return, before the next chunk is formatted, which keeps the writer's peak at one chunk."""
+    template = b"".join(const + bytes(block.shape[1]) for const, block in zip(between, blocks)) + between[-1]
+    text = bytearray(template) * len(blocks[0])  # every row's separators around zeroed cell slots
+    matrix, end = np.frombuffer(text, np.uint8).reshape(len(blocks[0]), -1), 0
+    for const, block in zip(between, blocks):
+        end += len(const) + block.shape[1]
+        matrix[:, end - block.shape[1]:end] = block
+    return text.translate(None, b"\0")
 
-    Rows are rendered in chunks of ``_CHUNK_ROWS``, each one uint8 matrix of zero-padded cell blocks between
-    constant separator blocks.  Each chunk drops its zero bytes in one pass onto one byte buffer, decoded once
-    at the end (a str per chunk, joined, raised the cli-modes benchmark's peak RSS by 1.5 MB).  CSV floats are
-    ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`, with
-    ``%`` or ``repr`` itself formatting the cells its error bound cannot decide.  JSON is
-    ``json.dumps(objects, indent=2)`` of the rows as objects.  Identical inputs give identical bytes.  Floats
-    must be finite, since JSON cannot spell nan or inf.
+
+def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> bytearray:
+    """Render a :func:`typed_table` as the UTF-8 bytes of its CSV or JSON text, in the one buffer they are built in.
+
+    Rows are rendered in chunks of ``_CHUNK_ROWS``.  A chunk is one uint8 matrix, a template row of the separators
+    repeated, with the chunk's zero-padded cell blocks assigned into its slots; its zero bytes are dropped in one
+    pass onto the buffer.  The buffer is returned as built, never decoded, so ``len()`` of it is the byte count of
+    the file it makes (a ``str`` of a 29 MB table, and a text-mode file's copy of it, cost 28 MB of peak RSS).
+    CSV floats are ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of
+    :mod:`.floatfmt`, with ``%`` or ``repr`` itself formatting the cells its error bound cannot decide.  JSON is
+    ``json.dumps(objects, indent=2)`` of the rows as objects, ``[]`` for none.  Identical inputs give identical
+    bytes.  Floats must be finite, since JSON cannot spell nan or inf.
     """
     if list(columns) != list(rows.dtype.names):
         raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.dtype.names)}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
     kinds = [rows.dtype[name].kind for name in columns]
-    for name, kind in zip(columns, kinds):
-        if kind == "f" and not np.all(np.isfinite(rows[name])):
-            raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
-    if fmt == "csv":
-        head, sep, tail = ",".join(columns) + "\n", "\n", "\n"
-        between = [""] + [","] * (len(columns) - 1) + [sep]  # before each cell, then after the row
-    else:
-        head, sep, tail = "[\n", ",\n", "\n]\n"
-        between = [("  {\n" if j == 0 else ",\n") + f"    {json.dumps(name)}: " for j, name in enumerate(columns)]
-        between.append("\n  }" + sep)
-    between = [np.frombuffer(text.encode(), np.uint8) for text in between]
     floats = [name for name, kind in zip(columns, kinds) if kind == "f"]
+    if fmt == "csv":
+        head = ",".join(columns) + "\n"
+        between = [""] + [","] * (len(columns) - 1) + ["\n"]  # before each cell, then after the row
+    else:
+        head = "[\n"
+        between = [("  {\n" if j == 0 else ",\n") + f"    {json.dumps(name)}: " for j, name in enumerate(columns)]
+        between.append("\n  },\n")
+    between = [text.encode() for text in between]
     out = bytearray(head.encode("utf-8", "surrogatepass"))
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk, cells = rows[start:start + _CHUNK_ROWS], {}
         if floats:  # one call for every float column: a call per column costs wide tables dearly
             stacked = np.stack([chunk[name] for name in floats], axis=1)
+            if not np.isfinite(stacked).all():
+                bad = next(name for name in floats if not np.isfinite(rows[name]).all())
+                raise ValueError(f"column {bad!r} holds a non-finite value; tables must be finite")
             cells = dict(zip(floats, np.moveaxis((floatfmt.e16 if fmt == "csv" else floatfmt.shortest)(stacked), 1, 0)))
         for name, kind in zip(columns, kinds):
             if kind != "f":
                 text, dtype = _CELL_TEXT[fmt, kind]
                 cells[name] = np.array(list(map(text, chunk[name].tolist())), dtype=dtype).view(np.uint8)
-        blocks = [np.broadcast_to(between[0], (len(chunk), between[0].size))]
-        for name, const in zip(columns, between[1:]):
-            blocks += [cells[name].reshape(len(chunk), -1), np.broadcast_to(const, (len(chunk), const.size))]
-        out += np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")
-    if len(rows):
-        del out[-len(sep):]
-    out += tail.encode()
-    return out.decode("utf-8", "surrogatepass")
+        out += _rows_bytes([cells[name].reshape(len(chunk), -1) for name in columns], between)
+    if fmt == "json":  # as json.dumps(rows, indent=2): no comma after the last object, and "[]" for no rows
+        out[-2:] = b"\n]\n" if len(rows) else b"[]\n"
+    return out
 
 
-def _write_artifact(path: str, text: str) -> None:
+def _write_artifact(path: str, data: bytearray) -> None:
     try:
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", newline="") as handle:
-            handle.write(text)
+        with open(target, "wb") as handle:
+            handle.write(data)
     except OSError as err:
         raise OSError(f"cannot write output file {path!r}: {err}") from err
 
@@ -679,11 +688,11 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         if config.out is not None:
             try:
-                text = write_table(result.columns, result.rows, config.format)
+                data = write_table(result.columns, result.rows, config.format)
             except ValueError as err:  # a non-finite cell, such as a NaN verify deviation: no table is written
                 print(f"qif-mzi: error: {err}", file=sys.stderr)
                 return 1
-            _write_artifact(config.out, text)
+            _write_artifact(config.out, data)
             print(f"wrote {len(result.rows)} row(s) to {config.out} ({config.format})")
     except ConfigError as err:
         print(f"qif-mzi: config error: {err}", file=sys.stderr)

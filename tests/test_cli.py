@@ -104,13 +104,18 @@ def test_range_validation():
 # table writer
 # ---------------------------------------------------------------------------
 
+def _assert_bytes(got, expected: str):
+    """The writer's bytes are ``expected`` in UTF-8 (lone surrogates kept, as the writer keeps them).  A failure
+    names the first differing lines: pytest's diff of two whole tables of a megabyte runs for minutes."""
+    want = expected.encode("utf-8", "surrogatepass")
+    if got != want:
+        wrong = [(a, b) for a, b in zip(bytes(got).split(b"\n"), want.split(b"\n")) if a != b]
+        pytest.fail(f"{len(got)} bytes, expected {len(want)}; {len(wrong)} differing lines, first {wrong[:5]}")
+
+
 def test_csv_shape_and_precision():
     text = write_table(["a", "b"], typed_table({"a": [0.3, 2.0], "b": [1, 0]}), "csv")
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0] == "a,b"
-    assert lines[1] == "2.9999999999999999e-01,1"  # 17 significant digits
-    assert text.endswith("\n") and "\r" not in text
+    _assert_bytes(text, "a,b\n2.9999999999999999e-01,1\n2.0000000000000000e+00,0\n")  # 17 significant digits
 
 
 def test_json_round_trip():
@@ -132,6 +137,10 @@ def _reference_csv(names, rows):
         return str(value) if isinstance(value, int) else "%.16e" % value
 
     return "\n".join([",".join(names)] + [",".join(cell(value) for value in row) for row in rows]) + "\n"
+
+
+def _reference_json(names, rows):
+    return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308, 0.1, 1e16])
@@ -161,8 +170,14 @@ def test_template_writer_matches_reference_formatting(table):
     names, rows = table
     typed = typed_table({name: [row[k] for row in rows] for k, name in enumerate(names)})
     assert [type(cell) for cell in typed.tolist()[0]] == [type(cell) for cell in rows[0]]
-    assert write_table(names, typed, "csv") == _reference_csv(names, rows)
-    assert write_table(names, typed, "json") == json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+    _assert_bytes(write_table(names, typed, "csv"), _reference_csv(names, rows))
+    _assert_bytes(write_table(names, typed, "json"), _reference_json(names, rows))
+
+
+def test_empty_tables_are_well_formed():
+    table = typed_table({"a": np.array([], np.float64), "b": np.array([], np.int64)})
+    _assert_bytes(write_table(["a", "b"], table, "csv"), _reference_csv(["a", "b"], []))
+    _assert_bytes(write_table(["a", "b"], table, "json"), _reference_json(["a", "b"], []))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -171,6 +186,12 @@ def test_table_rejects_non_finite_floats(bad):
     for fmt in ("csv", "json"):
         with pytest.raises(ValueError, match="non-finite"):
             write_table(["x", "n"], table, fmt)
+    # the error names the first bad column of the whole table, though a later column fails in an earlier chunk
+    a, b = np.zeros(cli._CHUNK_ROWS + 2), np.zeros(cli._CHUNK_ROWS + 2)
+    a[-1], b[0] = bad, bad
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="column 'a' holds a non-finite value"):
+            write_table(["a", "b"], typed_table({"a": a, "b": b}), fmt)
 
 
 def test_table_rejects_unequal_columns_and_mismatched_names():
@@ -190,17 +211,10 @@ def test_typed_table_refuses_nul_in_strings(values):
         typed_table({"s": values, "n": list(range(len(values)))})
 
 
-def _csv_floats(values):
-    """The CSV float cells of a one-column table."""
-    text = write_table(["x"], typed_table({"x": np.asarray(values, dtype=np.float64)}), "csv")
-    return text.splitlines()[1:]
-
-
 def _assert_exact_e16(values):
     values = np.asarray(values, dtype=np.float64)
-    cells = _csv_floats(values)
-    wrong = [(v, cell) for v, cell in zip(values.tolist(), cells) if cell != "%.16e" % v]
-    assert len(cells) == values.size and not wrong, wrong[:5]
+    rows = [(v,) for v in values.tolist()]
+    _assert_bytes(write_table(["x"], typed_table({"x": values}), "csv"), _reference_csv(["x"], rows))
 
 
 _ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
@@ -227,21 +241,19 @@ def test_csv_floats_are_exactly_percent_e16_on_a_battery():
     _assert_exact_e16(battery)
     # exact decimal ties go to "%", which rounds half to even; the doubles 1e-14 and 1e129 lie below
     # their powers of ten, so their digits carry into the exponent, while 1e23 and 1e-304 do not carry
-    assert _csv_floats([1e15 + 0.25, 1e15 + 0.75, 1e-14, 1e129, 1e23, 1e-304, -0.0, 5e-324]) == [
-        "1.0000000000000002e+15", "1.0000000000000008e+15", "1.0000000000000000e-14",
+    table = typed_table({"x": [1e15 + 0.25, 1e15 + 0.75, 1e-14, 1e129, 1e23, 1e-304, -0.0, 5e-324]})
+    _assert_bytes(write_table(["x"], table, "csv"), "\n".join([
+        "x", "1.0000000000000002e+15", "1.0000000000000008e+15", "1.0000000000000000e-14",
         "1.0000000000000000e+129", "9.9999999999999992e+22", "9.9999999999999997e-305",
         "-0.0000000000000000e+00", "4.9406564584124654e-324",
-    ]
+    ]) + "\n")
 
 
 def _json_floats(values):
     """Check a one-column JSON table against json.dumps of the same rows, naming the first wrong cells."""
     values = np.asarray(values, dtype=np.float64)
-    text = write_table(["x"], typed_table({"x": values}), "json")
-    expected = json.dumps([{"x": v} for v in values.tolist()], indent=2) + "\n"
-    if text != expected:  # a diff of the whole text would take pytest minutes
-        wrong = [(got, want) for got, want in zip(text.splitlines(), expected.splitlines()) if got != want]
-        pytest.fail(f"{len(wrong)} wrong lines, first {wrong[:5]}")
+    rows = [(v,) for v in values.tolist()]
+    _assert_bytes(write_table(["x"], typed_table({"x": values}), "json"), _reference_json(["x"], rows))
 
 
 def _json_battery():
@@ -329,23 +341,41 @@ def test_writer_is_seamless_across_row_chunks(offset):
     names = ["x", "n", "s"]
     rows = list(zip(floats, ints, strs))
     table = typed_table({"x": floats, "n": ints, "s": strs})
-    assert write_table(names, table, "csv") == _reference_csv(names, rows)
-    assert write_table(names, table, "json") == json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+    _assert_bytes(write_table(names, table, "csv"), _reference_csv(names, rows))
+    _assert_bytes(write_table(names, table, "json"), _reference_json(names, rows))
+
+
+_SWEEP_201 = {"mode": "sweep", "delta_over_w_min": "0", "delta_over_w_max": "3", "delta_over_w_steps": "201",
+              "phi_min": "0", "phi_max": "2pi", "phi_steps": "201", "alpha": "0"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_peak_allocation_is_bounded_by_its_output(fmt):
-    keys = {"mode": "sweep", "delta_over_w_min": "0", "delta_over_w_max": "3", "delta_over_w_steps": "201",
-            "phi_min": "0", "phi_max": "2pi", "phi_steps": "201", "alpha": "0"}
-    result = execute(build_config(keys))
+    result = execute(build_config(_SWEEP_201))
     tracemalloc.start()
     try:
         text = write_table(result.columns, result.rows, fmt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the chunk texts and their join; a writer holding per-cell strings or rows peaks at 3x to 4x
-    assert peak <= 2.5 * len(text)
+    # the buffer and one chunk's temporaries peak at about 1.45x; a str of the text besides its bytes makes
+    # 2.3x, and a writer holding per-cell strings or rows 3x to 4x
+    assert peak <= 1.75 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_allocation_is_bounded_by_the_file_it_writes(fmt, tmp_path, capsys):
+    out = tmp_path / f"sweep.{fmt}"
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in _SWEEP_201.items() if key != "mode"]
+    tracemalloc.start()
+    try:
+        assert main(["sweep", *argv, "--format", fmt, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sweep's rows, the table's bytes and a chunk peak at 1.8x (CSV) and 1.5x (JSON) of the file; a str
+    # round trip on the way to the file, a decode or a text-mode write, makes 2.4x to 2.6x
+    assert peak <= 2.1 * out.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +458,7 @@ def test_ports_mode_marks_dark_ports_without_nan():
     assert by_port["CC"][4] == 0 and by_port["CC"][2] == 0.0
     assert by_port["CD"][4] == 1
     text = write_table(result.columns, result.rows, "csv")
-    assert "nan" not in text.lower()
+    assert b"nan" not in text.lower()
 
 
 def test_design_mode_row_and_checks():

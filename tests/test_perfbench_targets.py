@@ -3,19 +3,48 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from qif_mzi import analytic, cli, core, experiment, numeric, verify
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parent.parent
+SPANS = REPO / "perfbench" / "spans.py"
+MODULES = {"cli": cli, "analytic": analytic, "numeric": numeric, "experiment": experiment,
+           "verify": verify, "core": core}
 
 
-def test_every_traced_attribute_resolves_to_a_callable():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    modules = {"cli": cli, "analytic": analytic, "numeric": numeric, "experiment": experiment,
-               "verify": verify, "core": core}
-    targets = spans.targets(modules)
+    return spans
+
+
+def test_every_traced_attribute_resolves_to_a_callable():
+    targets = _spans().targets(MODULES)
     assert targets
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for _, owner, attr, _ in targets
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("case", ["fig2a.csv", "design.json", "non-ascii.csv"])
+def test_traced_table_bytes_are_the_size_of_the_written_file(case, monkeypatch, tmp_path, capsys):
+    # cli.write_table.bytes is len() of the writer's return value: it must be the buffer of the file's bytes
+    preset, fmt = case.split(".")
+    out = tmp_path / case
+    if preset == "non-ascii":  # a ports command line whose run returns a table with a two-byte character
+        rows = cli.typed_table({"s": ["é\n", "a"], "x": [0.5, -1.0]})
+        monkeypatch.setattr(cli, "execute", lambda config: cli.RunResult(rows))
+        argv = ["ports", "--delta-over-w", "0.3", "--phi", "0.9", "--alpha", "0"]
+    else:
+        argv = ["--config", str(REPO / "configs" / f"{preset}.cfg")]
+    argv += ["--format", fmt, "--out", str(out)]
+    tracer = _spans().Tracer(MODULES)
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.remove()
+    assert tracer.calls["cli.write_table"] == 1
+    assert tracer.metric("cli.write_table.bytes", 1) == out.stat().st_size
