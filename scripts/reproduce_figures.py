@@ -2,7 +2,9 @@
 """Regenerate the plot-ready data behind every bundled preset into ./out/.
 
 Each preset maps to one CLI invocation; rerunning produces byte-identical
-files.  Plotting itself is out of scope - the CSVs are ready for any tool.
+files.  The script stops at the first run that exits nonzero, a failed
+``verify`` suite included, and exits with its status.  Plotting itself is
+out of scope - the CSVs are ready for any tool.
 """
 
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 from qif_mzi.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
-PRESETS = ("fig2a", "fig2b", "fig2c", "fig3", "fig4", "design")
+PRESETS = ("fig2a", "fig2b", "fig2c", "fig3", "fig4", "design", "verify")
 
 
 def run() -> int:

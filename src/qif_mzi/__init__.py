@@ -12,8 +12,6 @@ realisation.
 from .analytic import (
     EhrenfestBalance,
     MeanSurface,
-    ReducedState,
-    branch_overlap,
     ehrenfest_check,
     marginal_density,
     mean_postselected,

@@ -11,9 +11,9 @@ marginal densities and their direct/interference split, post-selected mean
 momenta (in two overlap conventions), the branch amplitudes of all four
 exit-port pairs, per-port probabilities and means, the unconditioned
 momentum balance, and the reduced one-electron states expressed in the
-non-orthogonal basis {unkicked, kicked}.  Each of these is a thin wrapper
-over one array-native engine, :class:`TwoBranchState`: the free amplitude,
-the kicked amplitude and the overlap of the two branches.
+non-orthogonal basis {unkicked, kicked}.  Each of these is read off one
+array-native engine, :class:`TwoBranchState`: the free amplitude, the
+kicked amplitude and the overlap of the two branches.
 
 The single-packet overlap is I = exp(-delta^2 / 4 W^2); the two-electron
 branch overlap is I^2.  The post-selected mean of electron 1,
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +44,6 @@ from .core import (
 
 __all__ = [
     "packet_overlap",
-    "branch_overlap",
     "TwoBranchState",
     "postselect_norm",
     "term_decomposition",
@@ -61,7 +59,6 @@ __all__ = [
     "port_marginal_density",
     "EhrenfestBalance",
     "ehrenfest_check",
-    "ReducedState",
     "reduced_state",
 ]
 
@@ -77,10 +74,12 @@ def packet_overlap(delta: float, width: float) -> float:
     return math.exp(-0.25 * u * u)
 
 
-def branch_overlap(params: InterferometerParams) -> float:
-    """Two-electron overlap of the free and kicked branches: the packet overlap squared."""
-    ov = packet_overlap(params.delta, params.width)
-    return ov * ov
+def _overlap_array(u):
+    """exp(-u^2 / 4) over an array of kicks u in units of W; |u| is clamped at 64, where the overlap is
+    already 0.0 and u * u cannot overflow.  :func:`packet_overlap` stays on ``math.exp``, whose last bits
+    differ from ``np.exp`` on some arguments."""
+    u = np.minimum(np.abs(u), 64.0)
+    return np.exp(-0.25 * u * u)
 
 
 class TwoBranchState(NamedTuple):
@@ -246,8 +245,7 @@ def mean_surface(delta_over_width, phi, alpha: float = 0.0) -> MeanSurface:
     """
     d = np.asarray(delta_over_width, dtype=float)
     c = np.cos(np.asarray(phi, dtype=float))
-    u = np.minimum(np.abs(d), 64.0)  # exp(-64^2 / 4) is already 0.0, and u * u cannot overflow
-    i1 = np.exp(-0.25 * u * u)
+    i1 = _overlap_array(d)
     state = TwoBranchState(1.0, c * cmath.exp(1j * alpha), i1, i1 * i1)
     single = TwoBranchState(1.0, c, i1, i1)
     return MeanSurface(state.mean(-d), single.mean(-d), state.norm())
@@ -277,8 +275,7 @@ def port_states(r, phi, alpha, delta, width=1.0) -> TwoBranchState:
     rt, plus, minus = r * t, alpha + phi, alpha - phi
     kicked = _matrix(rt * (1j * np.cos(plus) - np.sin(plus)), 0.0, 0.0, rt * (1j * np.cos(minus) - np.sin(minus)))
     shape = r.shape + (4,)
-    u = np.minimum(np.abs(delta / width), 64.0)  # exp(-64^2 / 4) is already 0.0, and u * u cannot overflow
-    i1 = np.broadcast_to(np.exp(-0.25 * u * u)[..., None], shape)
+    i1 = np.broadcast_to(_overlap_array(delta / width)[..., None], shape)
     exits = [(split @ paths @ np.swapaxes(split, -1, -2)).reshape(shape) for paths in (free, kicked)]
     return TwoBranchState(*exits, i1, i1 * i1)
 
@@ -348,45 +345,14 @@ def ehrenfest_check(params: InterferometerParams) -> EhrenfestBalance:
 # Reduced one-electron states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ReducedState:
-    """One-electron state in the non-orthogonal basis (unkicked, kicked).
+def reduced_state(params: InterferometerParams, electron: int) -> tuple[TwoBranchState, tuple[GaussianPacket, ...]]:
+    """Partial trace of the post-selected joint state over the other electron, as (branches, basis).
 
-    The partial trace of the two-branch state ``branches`` over the other
-    electron.  ``coeff`` is the Hermitian coefficient matrix M of
-    rho = sum_ij M_ij |b_i><b_j| and ``gram`` the basis Gram matrix
-    [[1, I], [I, 1]]; the trace of M G is the state's norm, and the purity
-    follows from the two-branch state exactly, without any discretisation.
+    In the non-orthogonal basis of the unkicked and kicked packets, the
+    reduced state is rho = sum_ij M_ij |b_i><b_j| with M = ``branches.coefficients()``;
+    the basis Gram matrix is [[1, I], [I, 1]], tr(M G) is ``branches.norm()``,
+    and ``branches.purity()`` is its exact purity.
     """
-
-    branches: TwoBranchState
-    electron: int
-    basis: tuple[GaussianPacket, GaussianPacket]
-
-    @property
-    def coeff(self) -> np.ndarray:
-        return self.branches.coefficients()
-
-    @property
-    def gram(self) -> np.ndarray:
-        return _matrix(1.0, self.branches.overlap, self.branches.overlap, 1.0)
-
-    def trace(self) -> float:
-        """tr(M G), which is the norm of the two-branch state."""
-        return float(self.branches.norm())
-
-    def purity(self) -> float:
-        """tr(rho^2) / tr(rho)^2, in [1/2, 1]; see :meth:`TwoBranchState.purity`."""
-        return float(self.branches.purity())
-
-    def density(self, p, normalized: bool = True):
-        """Diagonal kernel rho(p, p); agrees pointwise with the marginal density."""
-        dens = self.branches.density(self.basis[0](p), self.basis[1](p))
-        return dens / self.trace() if normalized else dens
-
-
-def reduced_state(params: InterferometerParams, electron: int) -> ReducedState:
-    """Partial trace of the post-selected joint state over the other electron."""
     branches = _postselected(params)
     _lit_norm(branches, "post-selected probability vanishes; reduced state undefined")
-    return ReducedState(branches, electron, (params.packet(), params.kicked_packet(electron)))
+    return branches, (params.packet(), params.kicked_packet(electron))

@@ -56,8 +56,6 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
 _ODD_GRID = (lambda n: n >= 3 and n % 2 == 1, "must be odd and >= 3")
 _SWEEP_STEPS = (lambda n: n >= 2, "sweep needs at least 2 steps")
 _AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
-# a subnormal width squares its packet amplitude width^-1/2 past the double range
-_NORMAL_DOUBLE = (lambda v: v >= sys.float_info.min, f"must be a normal double (>= {sys.float_info.min!r})")
 
 
 def _at_most(limit: int):
@@ -88,15 +86,13 @@ class RunConfig:
                        checks=((lambda v: v in ("csv", "json"), "expected csv or json"),))
     r: float = _key(BALANCED_R, "splitter reflection magnitude in [0, 1]",
                     optional=("distributions", "ports"), checks=((lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),))
-    width: float = _key(1.0, "packet momentum width W", optional=_POINT_MODES,
-                        checks=(_POSITIVE, _NORMAL_DOUBLE))
     delta_over_w: float | None = _key(None, "momentum kick in units of W", required=_POINT_MODES,
                                       checks=(_NON_NEGATIVE,))
     phi: float | None = _key(None, "path phase, radians ('pi' suffix allowed)", required=_POINT_MODES)
     alpha: float = _key(0.0, "interaction phase, radians", required=_POINT_MODES, optional=("sweep",))
     port: str = _key("dc", "post-selected exit pair: cc, cd, dc or dd", optional=("distributions",),
                      checks=((lambda v: v in tuple(p.value for p in PortPair), "expected one of cc, cd, dc, dd"),))
-    grid_span: float = _key(8.0, "half-width of report grids in units of W", optional=_GRID_MODES,
+    grid_span: float = _key(numeric.DEFAULT_SPAN, "half-width of report grids in units of W", optional=_GRID_MODES,
                             checks=(_POSITIVE,))
     grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd",
                             optional=_GRID_MODES, checks=(_ODD_GRID, _at_most(MAX_GRID_POINTS)))
@@ -130,13 +126,8 @@ class RunConfig:
                             checks=(_AT_LEAST_ONE, _at_most(MAX_PORT_DRAWS)))
 
     def model_params(self) -> InterferometerParams:
-        return InterferometerParams(
-            r=self.r,
-            phi=self.phi,
-            alpha=self.alpha,
-            delta=self.delta_over_w * self.width,
-            width=self.width,
-        )
+        """The working point in units of W: the CLI fixes W = 1, so the kick is delta_over_w itself."""
+        return InterferometerParams(r=self.r, phi=self.phi, alpha=self.alpha, delta=self.delta_over_w)
 
     def experiment_inputs(self) -> experiment.ExperimentInputs:
         return experiment.ExperimentInputs(
@@ -286,11 +277,6 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
             raise ConfigError(
                 f"key '{hi_key}': range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})", where(hi_key)
             )
-    if config.delta_over_w is not None and not math.isfinite(config.delta_over_w * config.width):
-        raise ConfigError(
-            f"key 'delta_over_w': the kick delta_over_w * width must be finite, "
-            f"got {config.delta_over_w!r} * {config.width!r}", where("delta_over_w")
-        )
     if config.mode == "sweep" and config.delta_over_w_steps * config.phi_steps > MAX_SWEEP_ROWS:
         raise ConfigError(
             f"key 'phi_steps': delta_over_w_steps * phi_steps must be <= {MAX_SWEEP_ROWS} rows, "
@@ -320,8 +306,7 @@ def _report_grid(config: RunConfig, params: InterferometerParams) -> tuple[numer
     """The report grid, refused (GridSpanError) unless it holds the free and both kicked branches, and the
     reason its quadrature is unresolved (None if it is resolved).  The table cells are exact closed-form
     samples at any spacing; only a quadrature over the grid needs Simpson to resolve the packets."""
-    half = config.grid_span * config.width
-    grid = numeric.MomentumGrid(-half, half, config.grid_points)
+    grid = numeric.default_grid(1.0, config.grid_span, config.grid_points)
     try:
         grid.require_resolved((params.packet(), params.kicked_packet(1), params.kicked_packet(2)))
     except AliasingError as err:
@@ -329,21 +314,17 @@ def _report_grid(config: RunConfig, params: InterferometerParams) -> tuple[numer
     return grid, None
 
 
-def _fmt_phase(value: float) -> str:
-    """A phase in radians: eight decimals, or eight-digit scientific from 1e9 up, where fixed point runs long."""
-    return f"{value:.8e}" if abs(value) >= 1e9 else f"{value:.8f}"
+def _fmt(value: float, spec: str) -> str:
+    """A summary number to ``spec`` (sign and precision, such as "+.6"): fixed point, or scientific from 1e9 up,
+    where fixed point runs long."""
+    return format(value, spec + ("e" if abs(value) >= 1e9 else "f"))
 
 
 def _fmt_params(params: InterferometerParams) -> str:
     return (
         f"r={params.r:.6f}, delta/W={params.delta_over_width:g}, "
-        f"phi={_fmt_phase(params.phi)} rad, alpha={_fmt_phase(params.alpha)} rad"
+        f"phi={_fmt(params.phi, '.8')} rad, alpha={_fmt(params.alpha, '.8')} rad"
     )
-
-
-def _fmt_mean(value: float) -> str:
-    """A signed summary value: six decimals, or six-digit scientific from 1e9 up, where fixed point runs long."""
-    return f"{value:+.6e}" if abs(value) >= 1e9 else f"{value:+.6f}"
 
 
 def _run_distributions(config: RunConfig) -> RunResult:
@@ -361,24 +342,23 @@ def _run_distributions(config: RunConfig) -> RunResult:
     else:
         dens1 = analytic.port_marginal_density(params, port, 1, p)
         dens2 = analytic.port_marginal_density(params, port, 2, p)
-    w = params.width
-    rows = typed_table({"p_over_W": p / w, "P1_times_W": dens1 * w, "P2_times_W": dens2 * w})
-    quad_mean = f"unresolved ({unresolved})" if unresolved else _fmt_mean(grid.density_mean(dens1) / w)
+    rows = typed_table({"p_over_W": p, "P1_times_W": dens1, "P2_times_W": dens2})
+    quad_mean = f"unresolved ({unresolved})" if unresolved else _fmt(grid.density_mean(dens1), "+.6")
     summary = [
         f"distributions mode: port {port.name}, {_fmt_params(params)}",
         f"  mean p1/W from quadrature of the emitted density: {quad_mean}",
     ]
     if port is PortPair.DC:
-        closed = analytic.mean_postselected(params, 1) / w
-        single = analytic.mean_postselected_packet_overlap(params) / w
+        closed = analytic.mean_postselected(params, 1)
+        single = analytic.mean_postselected_packet_overlap(params)
         summary += [
-            f"  mean p1/W, closed form with branch overlap I^2:  {_fmt_mean(closed)}",
-            f"  mean p1/W, closed form with packet overlap I:    {_fmt_mean(single)}",
-            f"  overlap-convention difference:                   {_fmt_mean(single - closed)}",
+            f"  mean p1/W, closed form with branch overlap I^2:  {_fmt(closed, '+.6')}",
+            f"  mean p1/W, closed form with packet overlap I:    {_fmt(single, '+.6')}",
+            f"  overlap-convention difference:                   {_fmt(single - closed, '+.6')}",
         ]
     else:
         mean = analytic.port_mean_momenta(params, 1)[port]
-        summary.append(f"  mean p1/W, closed form for port {port.name}: {_fmt_mean(mean / w)}")
+        summary.append(f"  mean p1/W, closed form for port {port.name}: {_fmt(mean, '+.6')}")
     return RunResult(rows, summary)
 
 
@@ -387,14 +367,13 @@ def _run_decompose(config: RunConfig) -> RunResult:
     grid, _ = _report_grid(config, params)
     p = grid.points
     direct, cross = analytic.term_decomposition(params, p)
-    w = params.width
-    rows = typed_table({"p_over_W": p / w, "T_a_times_W": direct * w, "T_b_times_W": cross * w,
-                        "P1_unnormalized_times_W": (direct + cross) * w})
+    rows = typed_table({"p_over_W": p, "T_a_times_W": direct, "T_b_times_W": cross,
+                        "P1_unnormalized_times_W": direct + cross})
     summary = [
         f"decompose mode: {_fmt_params(params)}",
         f"  post-selection norm N = {analytic.postselect_norm(params):.6f}",
-        f"  interference term minimum: {_fmt_mean(float(np.min(cross)) * w)} (units 1/W)",
-        f"  direct term is non-negative: min {float(np.min(direct)) * w:.3e}",
+        f"  interference term minimum: {_fmt(float(np.min(cross)), '+.6')} (units 1/W)",
+        f"  direct term is non-negative: min {float(np.min(direct)):.3e}",
     ]
     return RunResult(rows, summary)
 
@@ -413,7 +392,7 @@ def _run_sweep(config: RunConfig) -> RunResult:
     anomalous = surface.mean > 0.0
     count = int(np.count_nonzero(anomalous))
     summary = [
-        f"sweep mode: {deltas.size} x {phis.size} grid, alpha={_fmt_phase(config.alpha)} rad",
+        f"sweep mode: {deltas.size} x {phis.size} grid, alpha={_fmt(config.alpha, '.8')} rad",
         f"  anomalous (positive-mean) points: {count} of {surface.mean.size}"
         f" ({100.0 * count / surface.mean.size:.1f}%)",
     ]
@@ -421,7 +400,7 @@ def _run_sweep(config: RunConfig) -> RunResult:
         imax = np.unravel_index(np.argmax(surface.mean), surface.mean.shape)
         summary.append(
             f"  largest anomalous mean: +{surface.mean[imax]:.6f} W at "
-            f"delta/W={deltas[imax[0]]:g}, phi={phis[imax[1]]:.6f} rad"
+            f"delta/W={deltas[imax[0]]:g}, phi={_fmt(phis[imax[1]], '.6')} rad"
         )
     dark = surface.norm <= DARK_THRESHOLD
     if np.any(dark):
@@ -434,7 +413,6 @@ def _run_sweep(config: RunConfig) -> RunResult:
 
 def _run_ports(config: RunConfig) -> RunResult:
     params = config.model_params()
-    w = params.width
     probs = analytic.port_probabilities(params)
     means1 = analytic.port_mean_momenta(params, 1)
     means2 = analytic.port_mean_momenta(params, 2)
@@ -443,18 +421,18 @@ def _run_ports(config: RunConfig) -> RunResult:
     rows = typed_table({
         "port": [port.name for port in PortPair] + ["TOTAL"],
         "probability": list(probs.values()) + [sum(probs.values())],
-        "mean_p1_over_W": [m / w if m is not None else 0.0 for m in means1.values()] + [balance.weighted_sum / w],
-        "mean_p2_over_W": [m / w if m is not None else 0.0 for m in means2.values()] + [-balance.weighted_sum / w],
+        "mean_p1_over_W": [m if m is not None else 0.0 for m in means1.values()] + [balance.weighted_sum],
+        "mean_p2_over_W": [m if m is not None else 0.0 for m in means2.values()] + [-balance.weighted_sum],
         "mean_defined": defined + [1],
     })
     summary = [f"ports mode: {_fmt_params(params)}"]
     for port in PortPair:
-        mean_text = f"{_fmt_mean(means1[port] / w)} W" if means1[port] is not None else "undefined (dark)"
+        mean_text = f"{_fmt(means1[port], '+.6')} W" if means1[port] is not None else "undefined (dark)"
         summary.append(f"  P({port.name}) = {probs[port]:.6f}   mean p1 = {mean_text}")
     summary += [
         f"  sum of port probabilities: {sum(probs.values()):.12f}",
-        f"  unconditioned mean of p1, closed form -2 t^2 r^2 delta: {_fmt_mean(balance.closed_form / w)} W",
-        f"  unconditioned mean of p1, port-weighted sum:            {_fmt_mean(balance.weighted_sum / w)} W",
+        f"  unconditioned mean of p1, closed form -2 t^2 r^2 delta: {_fmt(balance.closed_form, '+.6')} W",
+        f"  unconditioned mean of p1, port-weighted sum:            {_fmt(balance.weighted_sum, '+.6')} W",
     ]
     return RunResult(rows, summary)
 
@@ -497,14 +475,14 @@ def _run_design(config: RunConfig) -> RunResult:
         f"  coulomb force          {setup.force:.6e} N",
         f"  momentum kick delta    {setup.delta:.6e} kg m/s",
         f"  momentum width W       {setup.momentum_width:.6e} kg m/s",
-        f"  delta / W              {setup.delta_over_width:.4f}",
-        f"  alpha                  {setup.alpha:.4f} rad = {setup.alpha / math.pi:.4f} pi",
+        f"  delta / W              {_fmt(setup.delta_over_width, '.4')}",
+        f"  alpha                  {_fmt(setup.alpha, '.4')} rad = {_fmt(setup.alpha / math.pi, '.4')} pi",
         f"  fringe spacing h/delta {setup.fringe_spacing:.4e} m",
         f"  longitudinal spread    {setup.longitudinal_spread:.4e} m",
         f"  transverse growth      {setup.transverse_spread_relative:.4e} (relative)",
         f"  kinetic scale          {setup.kinetic_scale:.4e} J",
         f"  potential scale        {setup.potential_scale:.4e} J",
-        f"  tuned separation       {tuned.separation * 1e3:.4f} mm gives |alpha| = {tuned.n_multiple} x 2 pi",
+        f"  tuned separation       {_fmt(tuned.separation * 1e3, '.4')} mm gives |alpha| = {tuned.n_multiple} x 2 pi",
     ]
     summary += ["  " + check.describe() for check in setup.validity]
     return RunResult(typed_table({name: [value] for name, value in cells}), summary)

@@ -226,25 +226,12 @@ def tune_separation(inputs: ExperimentInputs, n: int | None = None) -> TuneResul
     return TuneResult(separation, int(n), tuned)
 
 
-def to_model(
-    setup: DerivedSetup,
-    phi: float,
-    r: float = BALANCED_R,
-    width: float = 1.0,
-    zero_alpha: bool = False,
-) -> InterferometerParams:
-    """Bridge a physical setup into the dimensionless engine.
+def to_model(setup: DerivedSetup, phi: float) -> InterferometerParams:
+    """Bridge a physical setup into the dimensionless engine, at a balanced splitter and in units of W.
 
     Preserves delta/W and alpha (the engines only consume cos alpha, so the
     stored sign is inert but traceable).  In the physical setup delta and
     alpha are coupled through d and t; the model treats them as independent
-    knobs.  ``zero_alpha`` selects the e^{i alpha} = 1 working point used by
-    the reference figures.
+    knobs.
     """
-    return InterferometerParams(
-        r=r,
-        phi=phi,
-        alpha=0.0 if zero_alpha else setup.alpha,
-        delta=setup.delta_over_width * width,
-        width=width,
-    )
+    return InterferometerParams(r=BALANCED_R, phi=phi, alpha=setup.alpha, delta=setup.delta_over_width)

@@ -141,10 +141,10 @@ def check_mean_conventions(span: float, points: int) -> CheckResult:
 
 def check_purity_routes(span: float, points: int) -> CheckResult:
     """Gram-algebra purity vs the trace of rho^2 from the grid-sampled kernel."""
-    state = analytic.reduced_state(HEADLINE_PARAMS, 1)
-    gram_route = state.purity()
+    branches, basis = analytic.reduced_state(HEADLINE_PARAMS, 1)
+    gram_route = float(branches.purity())
     grid = numeric.default_grid(HEADLINE_PARAMS.width, span, points)
-    kernel_route = numeric.kernel_purity(state.coeff, state.basis, grid)
+    kernel_route = numeric.kernel_purity(branches.coefficients(), basis, grid)
     return CheckResult.from_deviation(
         "reduced_purity_two_routes",
         abs(gram_route - kernel_route),

@@ -202,17 +202,17 @@ def test_criterion_7_mean_surface_structure():
 
 
 def test_criterion_8_reduced_purity():
-    state = analytic.reduced_state(HEADLINE, 1)
-    gram_route = state.purity()
-    kernel_route = numeric.kernel_purity(state.coeff, state.basis)
+    branches, basis = analytic.reduced_state(HEADLINE, 1)
+    gram_route = float(branches.purity())
+    kernel_route = numeric.kernel_purity(branches.coefficients(), basis)
 
     no_kick = InterferometerParams(BALANCED_R, 0.75 * math.pi, 0.0, 0.0, 1.0)
     quarter = InterferometerParams(BALANCED_R, math.pi / 2, 0.0, 0.3, 1.0)
     pure_deviations = []
     for params in (no_kick, quarter):
-        pure_state = analytic.reduced_state(params, 1)
-        pure_deviations.append(abs(pure_state.purity() - 1.0))
-        pure_deviations.append(abs(numeric.kernel_purity(pure_state.coeff, pure_state.basis) - 1.0))
+        pure, pure_basis = analytic.reduced_state(params, 1)
+        pure_deviations.append(abs(pure.purity() - 1.0))
+        pure_deviations.append(abs(numeric.kernel_purity(pure.coefficients(), pure_basis) - 1.0))
 
     print(
         f"[acceptance]   gram purity {gram_route:.8f}, kernel purity {kernel_route:.8f}, "

@@ -184,7 +184,7 @@ def test_mean_sign_structure(params):
         return
     c = math.cos(params.phi)
     ca = math.cos(params.alpha)
-    i2 = analytic.branch_overlap(params)
+    i2 = analytic.packet_overlap(params.delta, params.width) ** 2
     # A kicked mean of magnitude delta |c (c + cos(alpha) I^2)| / N below the
     # smallest normal double rounds to a subnormal or to zero: its sign is undefined.
     if params.delta > 0.0 and params.delta * abs(c * (c + ca * i2)) / norm < sys.float_info.min:
@@ -372,25 +372,36 @@ def test_ehrenfest_weighted_sum_matches_closed_form(params):
 # reduced states
 # ---------------------------------------------------------------------------
 
+def _gram(branches):
+    """The basis Gram matrix [[1, I], [I, 1]] of a reduced state."""
+    i1 = branches.overlap
+    return np.array([[1.0, i1], [i1, 1.0]])
+
+
+def _purity(params):
+    return analytic.reduced_state(params, 1)[0].purity()
+
+
 def test_reduced_state_structure():
-    state = analytic.reduced_state(HEADLINE, 1)
-    assert np.array_equal(state.coeff, state.coeff.conj().T)  # Hermitian
-    assert state.coeff[0, 0] == 1.0
-    assert state.gram[0, 1] == analytic.packet_overlap(HEADLINE.delta, HEADLINE.width)
-    assert state.trace() == pytest.approx(analytic.postselect_norm(HEADLINE), rel=1e-14)
-    assert state.basis[1].center == -HEADLINE.delta
-    assert analytic.reduced_state(HEADLINE, 2).basis[1].center == HEADLINE.delta
+    branches, basis = analytic.reduced_state(HEADLINE, 1)
+    coeff = branches.coefficients()
+    assert np.array_equal(coeff, coeff.conj().T)  # Hermitian
+    assert coeff[0, 0] == 1.0
+    assert branches.overlap == analytic.packet_overlap(HEADLINE.delta, HEADLINE.width)
+    assert np.trace(coeff @ _gram(branches)).real == pytest.approx(analytic.postselect_norm(HEADLINE), rel=1e-14)
+    assert basis[1].center == -HEADLINE.delta
+    assert analytic.reduced_state(HEADLINE, 2)[1][1].center == HEADLINE.delta
 
 
 def test_headline_purity_frozen():
-    assert analytic.reduced_state(HEADLINE, 1).purity() == pytest.approx(HEADLINE_PURITY, rel=1e-12)
+    assert _purity(HEADLINE) == pytest.approx(HEADLINE_PURITY, rel=1e-12)
 
 
 def test_purity_is_one_for_pure_corners():
     no_kick = InterferometerParams(BALANCED_R, 0.75 * math.pi, 0.0, 0.0, 1.0)
-    assert abs(analytic.reduced_state(no_kick, 1).purity() - 1.0) < 1e-12
+    assert abs(_purity(no_kick) - 1.0) < 1e-12
     quarter = InterferometerParams(BALANCED_R, math.pi / 2, 0.0, 0.3, 1.0)
-    assert abs(analytic.reduced_state(quarter, 1).purity() - 1.0) < 1e-12
+    assert abs(_purity(quarter) - 1.0) < 1e-12
 
 
 @given(params_st())
@@ -398,7 +409,7 @@ def test_purity_is_one_for_pure_corners():
 def test_purity_bounds(params):
     if analytic.postselect_norm(params) <= 1e-9:
         return
-    purity = analytic.reduced_state(params, 1).purity()
+    purity = _purity(params)
     assert 0.0 < purity <= 1.0
 
 
@@ -408,10 +419,10 @@ def test_purity_closed_form_matches_gram_trace(params):
     norm = analytic.postselect_norm(params)
     if norm <= 1e-9:
         return
-    state = analytic.reduced_state(params, 1)
-    mg = state.coeff @ state.gram
+    branches, _ = analytic.reduced_state(params, 1)
+    mg = branches.coefficients() @ _gram(branches)
     trace = np.trace(mg).real
-    assert state.purity() == pytest.approx(np.trace(mg @ mg).real / (trace * trace), abs=1e-13 / norm)
+    assert branches.purity() == pytest.approx(np.trace(mg @ mg).real / (trace * trace), abs=1e-13 / norm)
 
 
 @settings(max_examples=40)
@@ -420,9 +431,10 @@ def test_reduced_density_agrees_with_marginal(params, electron):
     if analytic.postselect_norm(params) <= 1e-6:
         return
     p = np.linspace(-5.0 * params.width, 5.0 * params.width, 41)
-    state = analytic.reduced_state(params, electron)
+    branches, basis = analytic.reduced_state(params, electron)
+    kernel = branches.density(basis[0](p), basis[1](p)) / branches.norm()  # rho(p, p)
     closed = analytic.marginal_density(params, electron, p, normalized=True)
-    assert np.max(np.abs(state.density(p) - closed)) < 1e-12
+    assert np.max(np.abs(kernel - closed)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def test_unknown_key_fails_closed_with_line():
         parse_config("mode=ports\nbogus=1\n")
 
 
+def test_width_is_not_a_key(tmp_path, capsys):
+    # the CLI works in units of W: W = 1, and a width has no spelling in flags or files
+    assert main(["ports", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0", "--width", "2"]) == 2
+    assert capsys.readouterr().err == "qif-mzi: config error: unknown key '--width'\n"
+    config_file = tmp_path / "width.cfg"
+    config_file.write_text("mode = ports\ndelta_over_w = 0.3\nphi = 0.75pi\nalpha = 0\nwidth = 2\n")
+    assert main(["--config", str(config_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qif-mzi: config error: line 5: unknown key 'width'\n" and captured.out == ""
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config("mode=ports\nphi=0\nphi=1\n")
@@ -577,16 +588,6 @@ def test_main_report_grid_must_hold_every_branch(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["distributions", "decompose"])
-def test_main_smallest_normal_width_emits_finite_table(mode, tmp_path, capsys):
-    out = tmp_path / "table.csv"
-    argv = [mode, "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0", "--width", repr(sys.float_info.min)]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    cells = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    assert cells.shape[0] == numeric.DEFAULT_GRID_POINTS and np.all(np.isfinite(cells))
-
-
 def test_main_config_error_exit_code(capsys):
     assert main(["distributions"]) == 2  # missing required keys
     assert "config error" in capsys.readouterr().err
@@ -603,7 +604,6 @@ _DESIGN = ("mode = design\nseparation_m = 2e-3\nlength_m = 4e-2\nspeed_m_per_s =
 _RANGE_ERRORS = [
     (FIG2C_TEXT, "format", "xml", 5, "key 'format': expected csv or json, got 'xml'"),
     (FIG2C_TEXT, "r", "1.5", 5, "key 'r': must lie in [0, 1], got 1.5"),
-    (FIG2C_TEXT, "width", "0", 5, "key 'width': must be positive, got 0.0"),
     ("mode = ports\nphi = 0\nalpha = 0\n", "delta_over_w", "-0.1", 4, "key 'delta_over_w': must be >= 0, got -0.1"),
     (FIG2C_TEXT, "port", "xx", 5, "key 'port': expected one of cc, cd, dc, dd, got 'xx'"),
     (FIG2C_TEXT, "grid_span", "-2", 5, "key 'grid_span': must be positive, got -2.0"),
@@ -647,10 +647,6 @@ _LIMIT_ERRORS = [
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 5 * 200001"),
     ("sweep-steps-max", _SWEEP.replace("delta_over_w_steps = 5\n", ""), "delta_over_w_steps", "100000000000", 6,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
-    ("kick-overflow", "mode = ports\nphi = 0\nalpha = 0\nwidth = 1e200\n", "delta_over_w", "1e200", 5,
-     "key 'delta_over_w': the kick delta_over_w * width must be finite, got 1e+200 * 1e+200"),
-    ("width-subnormal", FIG2C_TEXT, "width", "1e-310", 5,
-     "key 'width': must be a normal double (>= 2.2250738585072014e-308), got 1e-310"),
     ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,
      "key 'tune_target_n': must be <= 9223372036854775807, got 100000000000000000000"),
     # derived design quantities outside double or int64 range; the error points at the last input given
@@ -684,10 +680,10 @@ def test_main_range_error_wording(base, key, value, line, message, tmp_path, cap
 def point_runs(draw):
     """Accepted ``distributions`` and ``ports`` runs: (argv, params, port, grid in units of W or None)."""
     mode = draw(st.sampled_from(["distributions", "ports"]))
-    r, width = draw(st.floats(0.0, 1.0)), draw(st.floats(0.25, 4.0))
-    delta_over_w, phi, alpha = draw(st.floats(0.0, 6.0)), draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
-    keys = {"r": r, "width": width, "delta-over-w": delta_over_w, "phi": phi, "alpha": alpha}
-    params = InterferometerParams(r, phi, alpha, delta_over_w * width, width)
+    r, delta_over_w = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 6.0))
+    phi, alpha = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+    keys = {"r": r, "delta-over-w": delta_over_w, "phi": phi, "alpha": alpha}
+    params = InterferometerParams(r, phi, alpha, delta_over_w)
     grid = port = None
     if mode == "distributions":
         port = draw(st.sampled_from(list(PortPair)))
@@ -731,9 +727,9 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
     p, dens = numbers[:, 0], numbers[:, 1]
     w = grid.simpson_weights()
     quad = float((w @ (p * dens)) / (w @ dens))
-    closed = analytic.port_mean_momenta(params, 1)[port] / params.width
+    closed = analytic.port_mean_momenta(params, 1)[port]
     amp = analytic.port_amplitudes(params)[port]
-    i2 = analytic.branch_overlap(params)
+    i2 = analytic.packet_overlap(params.delta, params.width) ** 2
     gain = (abs(amp.free) ** 2 + abs(amp.kicked) ** 2 + 2.0 * i2 * abs(amp.free * amp.kicked)) / (
         analytic.port_probabilities(params)[port]
     )
@@ -858,6 +854,26 @@ def test_main_large_phase_prints_a_short_header(argv, capsys):
     assert len(header) < 120 and "e+200 rad" in header
 
 
+_DESIGN_ARGV = ["--config", str(REPO / "configs" / "design.cfg")]  # flags override the preset's keys
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "1", "--delta-over-w-steps", "2",
+      "--phi-min", "0", "--phi-max", "1e300", "--phi-steps", "2"],
+     "  largest anomalous mean: +0.028306 W at delta/W=1, phi=1.000000e+300 rad"),
+    ([*_DESIGN_ARGV, "--waist-transverse-m", "1e50"], "  delta / W              2.1877e+54"),
+    ([*_DESIGN_ARGV, "--length-m", "4e7"], "  alpha                  -2.1877e+10 rad = -6.9636e+09 pi"),
+    ([*_DESIGN_ARGV, "--length-m", "4e7", "--separation-m", "2e6"],
+     "  tuned separation       2.3212e+09 mm gives |alpha| = 3 x 2 pi"),
+], ids=["sweep-phi", "design-delta-over-w", "design-alpha", "design-tuned-separation"])
+def test_main_summary_numbers_switch_to_scientific_from_1e9(argv, line, capsys):
+    # fixed point printed phi = 1e300 with 300 digits, and delta / W = 2.2e54 with 55
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert all(len(text) < 120 for text in lines)
+
+
 _PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]
 
 
@@ -918,12 +934,11 @@ _ARGV_VALUES = {  # (accepted values, a refused value)
     "phi": (["0.75pi", "-0.5pi", "-2.1", "pi"], "abc"),
     "alpha": (["0", "-1e-5", "-.5", "0.4pi"], ""),
     "r": (["0.4", "0.9", "1"], "-0.1"),
-    "width": (["2", "0.5"], "0"),
     "port": (["cd", "dd", "dc", "cc"], "xx"),
     "grid_points": (["11", "31"], "100"),
     "format": (["csv", "json"], "xml"),
 }
-_OPTIONAL = {"ports": ["r", "width", "format"], "distributions": ["r", "width", "format", "port", "grid_points"]}
+_OPTIONAL = {"ports": ["r", "format"], "distributions": ["r", "format", "port", "grid_points"]}
 _MOSTLY = st.sampled_from([True] * 9 + [False])
 _FLAG_PREFIXES = sorted({flag[:n] for flag in _FLAGS for n in range(3, len(flag))} - _FLAGS - {"--config"})
 

@@ -235,9 +235,9 @@ def test_grid_resolution_is_one_check_for_tail_and_spacing():
 def test_oracles_refuse_unresolved_grids(grid, error):
     with pytest.raises(error):
         joint_marginal_oracle(HEADLINE, 1, grid)
-    state = analytic.reduced_state(HEADLINE, 1)
+    branches, basis = analytic.reduced_state(HEADLINE, 1)
     with pytest.raises(error):
-        kernel_purity(state.coeff, state.basis, grid)
+        kernel_purity(branches.coefficients(), basis, grid)
 
 
 def test_oracle_dark_port_raises():
@@ -309,21 +309,21 @@ def test_kick_oracle_band_guard():
 # ---------------------------------------------------------------------------
 
 def test_kernel_purity_agrees_with_gram_route():
-    state = analytic.reduced_state(HEADLINE, 1)
-    assert kernel_purity(state.coeff, state.basis) == pytest.approx(state.purity(), abs=1e-6)
+    branches, basis = analytic.reduced_state(HEADLINE, 1)
+    assert kernel_purity(branches.coefficients(), basis) == pytest.approx(branches.purity(), abs=1e-6)
 
 
 def test_kernel_purity_with_complex_phase():
     params = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0)
-    state = analytic.reduced_state(params, 1)
-    assert kernel_purity(state.coeff, state.basis) == pytest.approx(state.purity(), abs=1e-9)
+    branches, basis = analytic.reduced_state(params, 1)
+    assert kernel_purity(branches.coefficients(), basis) == pytest.approx(branches.purity(), abs=1e-9)
 
 
 def test_kernel_purity_peak_allocation_is_four_real_planes():
-    state = analytic.reduced_state(InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), 1)
-    grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
+    branches, basis = analytic.reduced_state(InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), 1)
+    coeff, grid = branches.coefficients(), default_grid(n=numeric.DEFAULT_JOINT_POINTS)
     # the complex kernel (two planes) is weighted in place; its squares share one plane plus one temporary
-    assert _peak_planes(lambda: kernel_purity(state.coeff, state.basis, grid), grid.n) <= 4.25
+    assert _peak_planes(lambda: kernel_purity(coeff, basis, grid), grid.n) <= 4.25
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,15 +338,15 @@ def test_kernel_purity_in_place_matches_out_of_place_formula_bit_for_bit(r, phi,
     params = InterferometerParams(r, phi, alpha, delta, 1.0)
     if analytic.postselect_norm(params) < 1e-3:
         return
-    state = analytic.reduced_state(params, electron)
-    grid = MomentumGrid(-12.0, 12.0, 241)
-    sampled = np.stack([b(grid.points) for b in state.basis])
-    kernel = sampled.T @ (np.asarray(state.coeff) @ sampled)
+    branches, basis = analytic.reduced_state(params, electron)
+    coeff, grid = branches.coefficients(), MomentumGrid(-12.0, 12.0, 241)
+    sampled = np.stack([b(grid.points) for b in basis])
+    kernel = sampled.T @ (coeff @ sampled)
     root_w = np.sqrt(grid.simpson_weights())
     w = root_w[:, None] * kernel * root_w[None, :]
     total = float(np.trace(w).real)
     expected = float(np.sum(w.real**2 + w.imag**2)) / (total * total)
-    assert kernel_purity(state.coeff, state.basis, grid) == expected
+    assert kernel_purity(coeff, basis, grid) == expected
 
 
 def _eigen_purity(coeff, basis, grid):
@@ -370,7 +370,6 @@ def test_kernel_trace_purity_matches_eigendecomposition(r, phi, alpha, delta, el
     params = InterferometerParams(r, phi, alpha, delta, 1.0)
     if analytic.postselect_norm(params) < 1e-3:
         return
-    state = analytic.reduced_state(params, electron)
-    grid = MomentumGrid(-12.0, 12.0, 241)
-    assert kernel_purity(state.coeff, state.basis, grid) == pytest.approx(
-        _eigen_purity(state.coeff, state.basis, grid), abs=1e-12)
+    branches, basis = analytic.reduced_state(params, electron)
+    coeff, grid = branches.coefficients(), MomentumGrid(-12.0, 12.0, 241)
+    assert kernel_purity(coeff, basis, grid) == pytest.approx(_eigen_purity(coeff, basis, grid), abs=1e-12)
