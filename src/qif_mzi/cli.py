@@ -40,9 +40,9 @@ _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alp
 _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D momentum grids
 
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
-# a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (three real float64 planes at once,
-# a traced peak of 100.8 MB per oracle call), a DFT of 2^20 points, and a sweep of 10^6 rows
-# (four times the 501 x 501 sweep, which peaks at about 200 MB).
+# a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (one real float64 plane per oracle,
+# a traced peak of about 33.9 MB per call), a DFT of 2^20 points, and a sweep of 10^6 rows (four
+# times the 501 x 501 sweep; a fresh process peaks at about 194 MiB as CSV and 300 MiB as JSON).
 MAX_GRID_POINTS = 2**20 + 1
 MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20

@@ -10,8 +10,8 @@ Independent computation paths:
 * the impulsive momentum kick realised the long way round: position-space
   Gaussian, multiply by exp(-i delta x), discrete Fourier transform back -
   checks that a linear potential rigidly displaces the momentum density;
-* the trace of rho^2 from the grid-sampled kernel of a reduced state -
-  checks the Gram algebra purity.
+* the trace of rho^2 from the grid-sampled kernel of a reduced state, also
+  squared in row blocks of one real plane - checks the Gram algebra purity.
 
 Every Simpson grid is held to one resolution policy,
 :meth:`MomentumGrid.require_resolved`: tail mass and aliasing bound both
@@ -62,7 +62,13 @@ DEFAULT_GRID_POINTS = 2001  # 1D quadrature grid
 DEFAULT_JOINT_POINTS = 513  # per axis of the two-particle product grid
 DEFAULT_KICK_POINTS = 4096  # DFT size of the momentum-kick oracle
 TAIL_BUDGET = 1e-10         # allowed tail mass outside a grid, and Simpson aliasing error inside it
-_BLOCK_BYTES = 1 << 17      # row block of the product-grid oracle: 128 KiB stays in a core's L2 cache
+_BLOCK_BYTES = 1 << 17      # row block of the product-grid oracles: 128 KiB stays in a core's L2 cache
+
+
+def _row_blocks(n: int, itemsize: int) -> list[slice]:
+    """Row slices of an n-column plane of ``itemsize``-byte cells, about ``_BLOCK_BYTES`` each."""
+    step = max(1, _BLOCK_BYTES // (itemsize * n))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 @lru_cache(maxsize=64)
@@ -216,10 +222,9 @@ def joint_marginal_oracle(
     free, k1, k2 = base(p), kicked1(p), kicked2(p)
     coeff = cmath.exp(1j * params.alpha) * math.cos(params.phi)
     n = grid.n
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    density2d, block = np.empty((n, n)), np.empty((min(step, n), n))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    blocks = _row_blocks(n, 8)
+    density2d, block = np.empty((n, n)), np.empty((blocks[0].stop, n))
+    for rows in blocks:
         re = density2d[rows]
         im = block[: re.shape[0]]
         np.multiply(free[rows, None], free, out=re)
@@ -324,21 +329,25 @@ def kernel_purity(coeff: np.ndarray, basis, grid: MomentumGrid | None = None) ->
     Samples K(p, p') on the grid and weights it with sqrt-Simpson weights,
     S = W^1/2 K W^1/2; purity = tr(S^2) / tr(S)^2 = ||S||_F^2 / tr(S)^2 for
     Hermitian S.  Independent of the Gram-matrix route (no basis inner
-    products are used).  S is weighted in place and its squared parts share
-    one plane: a peak of four real planes, with the out-of-place bits.
+    products are used).  S is built and weighted in row blocks, each squared
+    into one real plane; both sums keep their order, so the bits hold.
     """
     if grid is None:
         widths = {b.width for b in basis}
         grid = default_grid(max(widths), n=DEFAULT_JOINT_POINTS)
     grid.require_resolved(basis)
     sampled = np.stack([b(grid.points) for b in basis])
-    kernel = sampled.T @ (np.asarray(coeff) @ sampled)
+    right = np.asarray(coeff) @ sampled
     root_w = np.sqrt(grid.simpson_weights())
-    kernel *= root_w[:, None]
-    kernel *= root_w[None, :]
-    total = float(np.trace(kernel).real)
+    squares, diagonal = np.empty((grid.n, grid.n)), np.empty(grid.n, dtype=complex)
+    for rows in _row_blocks(grid.n, 16):
+        block = sampled.T[rows] @ right
+        block *= root_w[rows, None]
+        block *= root_w[None, :]
+        diagonal[rows] = block.diagonal(rows.start)
+        np.square(block.real, out=squares[rows])
+        squares[rows] += np.square(block.imag)
+    total = float(np.sum(diagonal).real)
     if total <= DARK_THRESHOLD:
         raise DarkPortError("kernel trace vanishes; purity undefined")
-    squares = np.square(kernel.real)
-    squares += np.square(kernel.imag)
     return float(np.sum(squares)) / (total * total)

@@ -16,6 +16,7 @@ from qif_mzi import (
     GridSpanError,
     InterferometerParams,
     analytic,
+    cli,
     numeric,
 )
 from qif_mzi.numeric import (
@@ -209,6 +210,15 @@ def test_oracle_peak_allocation_is_one_real_plane_and_row_blocks():
     assert _peak_planes(lambda: joint_marginal_oracle(params, 1, grid), grid.n) <= 1.25
 
 
+def test_both_oracles_hold_one_real_plane_at_the_joint_grid_bound():
+    # cli.MAX_JOINT_GRID_POINTS is sized by this peak: one plane of about 34 MB per oracle call
+    n = cli.MAX_JOINT_GRID_POINTS
+    params, grid = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), default_grid(n=n)
+    branches, basis = analytic.reduced_state(params, 1)
+    assert _peak_planes(lambda: joint_marginal_oracle(params, 1, grid), n) <= 1.25
+    assert _peak_planes(lambda: kernel_purity(branches.coefficients(), basis, grid), n) <= 1.25
+
+
 def test_oracle_rejects_narrow_grid():
     params = InterferometerParams(BALANCED_R, 0.75 * math.pi, 0.0, 3.0, 1.0)
     with pytest.raises(GridSpanError):
@@ -319,11 +329,11 @@ def test_kernel_purity_with_complex_phase():
     assert kernel_purity(branches.coefficients(), basis) == pytest.approx(branches.purity(), abs=1e-9)
 
 
-def test_kernel_purity_peak_allocation_is_four_real_planes():
+def test_kernel_purity_peak_allocation_is_one_real_plane_and_row_blocks():
     branches, basis = analytic.reduced_state(InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), 1)
     coeff, grid = branches.coefficients(), default_grid(n=numeric.DEFAULT_JOINT_POINTS)
-    # the complex kernel (two planes) is weighted in place; its squares share one plane plus one temporary
-    assert _peak_planes(lambda: kernel_purity(coeff, basis, grid), grid.n) <= 4.25
+    # the squares plane plus one 128 KiB complex row block; a whole complex kernel would add two more planes
+    assert _peak_planes(lambda: kernel_purity(coeff, basis, grid), grid.n) <= 1.25
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,13 +343,15 @@ def test_kernel_purity_peak_allocation_is_four_real_planes():
     st.floats(-2.0 * math.pi, 2.0 * math.pi),
     st.floats(0.0, 3.0),
     st.integers(1, 2),
+    # 128 KiB complex row blocks: 89 fits one block, and 241, 513 and 1025 end in a short one
+    st.sampled_from((89, 241, 513, 1025)),
 )
-def test_kernel_purity_in_place_matches_out_of_place_formula_bit_for_bit(r, phi, alpha, delta, electron):
+def test_kernel_purity_in_place_matches_out_of_place_formula_bit_for_bit(r, phi, alpha, delta, electron, n):
     params = InterferometerParams(r, phi, alpha, delta, 1.0)
     if analytic.postselect_norm(params) < 1e-3:
         return
     branches, basis = analytic.reduced_state(params, electron)
-    coeff, grid = branches.coefficients(), MomentumGrid(-12.0, 12.0, 241)
+    coeff, grid = branches.coefficients(), MomentumGrid(-12.0, 12.0, n)
     sampled = np.stack([b(grid.points) for b in basis])
     kernel = sampled.T @ (coeff @ sampled)
     root_w = np.sqrt(grid.simpson_weights())
