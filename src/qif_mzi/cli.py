@@ -11,6 +11,7 @@ identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D m
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
 # a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (one real float64 plane per oracle,
 # a traced peak of about 33.9 MB per call), a DFT of 2^20 points, and a sweep of 10^6 rows (four
-# times the 501 x 501 sweep; a fresh process peaks at about 194 MiB as CSV and 300 MiB as JSON).
+# times the 501 x 501 sweep; a fresh process peaks at about 109 MiB as CSV or JSON).
 MAX_GRID_POINTS = 2**20 + 1
 MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20
@@ -546,17 +547,17 @@ def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
     return text.translate(None, b"\0")
 
 
-def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> bytearray:
-    """Render a :func:`typed_table` as the UTF-8 bytes of its CSV or JSON text, in the one buffer they are built in.
+def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv", out=None):
+    """Append a :func:`typed_table`'s CSV or JSON text, as UTF-8 bytes, to ``out`` (a new ``bytearray`` by default)
+    with ``+=`` and return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.
 
-    Rows are rendered in chunks of ``_CHUNK_ROWS``.  A chunk is one uint8 matrix, a template row of the separators
-    repeated, with the chunk's zero-padded cell blocks assigned into its slots; its zero bytes are dropped in one
-    pass onto the buffer.  The buffer is returned as built, never decoded, so ``len()`` of it is the byte count of
-    the file it makes (a ``str`` of a 29 MB table, and a text-mode file's copy of it, cost 28 MB of peak RSS).
-    CSV floats are ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of
-    :mod:`.floatfmt`, with ``%`` or ``repr`` itself formatting the cells its error bound cannot decide.  JSON is
+    The head goes first, then chunks of ``_CHUNK_ROWS`` rows, each one uint8 matrix: a template row of the separators
+    repeated, the chunk's zero-padded cell blocks assigned into its slots, its zero bytes dropped in one pass.  No
+    bytes are decoded (a ``str`` of a 29 MB table, and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV
+    floats are ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`,
+    with ``%`` or ``repr`` itself formatting the cells its error bound cannot decide.  JSON is
     ``json.dumps(objects, indent=2)`` of the rows as objects, ``[]`` for none.  Identical inputs give identical
-    bytes.  Floats must be finite, since JSON cannot spell nan or inf.
+    bytes.  Floats must be finite, since JSON cannot spell nan or inf, and all are checked before the first byte.
     """
     if list(columns) != list(rows.dtype.names):
         raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.dtype.names)}")
@@ -564,41 +565,60 @@ def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv") -> bytea
         raise ValueError(f"unknown table format {fmt!r}")
     kinds = [rows.dtype[name].kind for name in columns]
     floats = [name for name, kind in zip(columns, kinds) if kind == "f"]
+    for name in floats:  # whole columns in order, before any byte: the error names the first bad column
+        if not np.isfinite(rows[name]).all():
+            raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
     if fmt == "csv":
         head = ",".join(columns) + "\n"
         between = [""] + [","] * (len(columns) - 1) + ["\n"]  # before each cell, then after the row
     else:
-        head = "[\n"
+        head = "[\n" if len(rows) else "[]\n"
         between = [("  {\n" if j == 0 else ",\n") + f"    {json.dumps(name)}: " for j, name in enumerate(columns)]
         between.append("\n  },\n")
     between = [text.encode() for text in between]
-    out = bytearray(head.encode("utf-8", "surrogatepass"))
+    out = bytearray() if out is None else out
+    out += head.encode("utf-8", "surrogatepass")
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk, cells = rows[start:start + _CHUNK_ROWS], {}
         if floats:  # one call for every float column: a call per column costs wide tables dearly
             stacked = np.stack([chunk[name] for name in floats], axis=1)
-            if not np.isfinite(stacked).all():
-                bad = next(name for name in floats if not np.isfinite(rows[name]).all())
-                raise ValueError(f"column {bad!r} holds a non-finite value; tables must be finite")
             cells = dict(zip(floats, np.moveaxis((floatfmt.e16 if fmt == "csv" else floatfmt.shortest)(stacked), 1, 0)))
         for name, kind in zip(columns, kinds):
             if kind != "f":
                 text, dtype = _CELL_TEXT[fmt, kind]
                 cells[name] = np.array(list(map(text, chunk[name].tolist())), dtype=dtype).view(np.uint8)
-        out += _rows_bytes([cells[name].reshape(len(chunk), -1) for name in columns], between)
-    if fmt == "json":  # as json.dumps(rows, indent=2): no comma after the last object, and "[]" for no rows
-        out[-2:] = b"\n]\n" if len(rows) else b"[]\n"
+        piece = _rows_bytes([cells[name].reshape(len(chunk), -1) for name in columns], between)
+        if fmt == "json" and start + _CHUNK_ROWS >= len(rows):  # as json.dumps: no comma after the last object
+            piece[-2:] = b"\n]\n"
+        out += piece
     return out
 
 
-def _write_artifact(path: str, data: bytearray) -> None:
-    try:
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "wb") as handle:
-            handle.write(data)
-    except OSError as err:
-        raise OSError(f"cannot write output file {path!r}: {err}") from err
+class _FileSink:
+    """``main``'s ``out``: ``+=`` writes to the file, opened (directory made) at the first bytes; ``len()`` counts."""
+
+    def __init__(self, path: str):
+        self.path, self.handle, self.size = path, None, 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iadd__(self, data: bytes) -> _FileSink:
+        self.size += self._call("write", data)
+        return self
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self._call("close")
+
+    def _call(self, method: str, *args):
+        try:
+            if self.handle is None:
+                Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+                self.handle = open(self.path, "wb")
+            return getattr(self.handle, method)(*args)
+        except OSError as err:
+            raise OSError(f"cannot write output file {self.path!r}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +686,11 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         if config.out is not None:
             try:
-                data = write_table(result.columns, result.rows, config.format)
-            except ValueError as err:  # a non-finite cell, such as a NaN verify deviation: no table is written
+                with contextlib.closing(_FileSink(config.out)) as sink:
+                    write_table(result.columns, result.rows, config.format, sink)
+            except ValueError as err:  # a non-finite cell, such as a NaN verify deviation: the file is not opened
                 print(f"qif-mzi: error: {err}", file=sys.stderr)
                 return 1
-            _write_artifact(config.out, data)
             print(f"wrote {len(result.rows)} row(s) to {config.out} ({config.format})")
     except ConfigError as err:
         print(f"qif-mzi: config error: {err}", file=sys.stderr)

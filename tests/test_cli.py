@@ -342,9 +342,34 @@ def test_main_writes_through_the_module_attribute_write_table(monkeypatch, tmp_p
     assert calls == ["json"] and out.stat().st_size > 0
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, "2n+1"])
-def test_writer_is_seamless_across_row_chunks(offset):
-    n = 2 * cli._CHUNK_ROWS + 1 if offset == "2n+1" else cli._CHUNK_ROWS + offset
+class _Counting:
+    """A ``write_table`` sink that keeps only the count of the bytes appended to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def __iadd__(self, data):
+        self.size += len(data)
+        return self
+
+    def __len__(self):
+        return self.size
+
+
+_PORTS_ARGV = ["ports", "--delta-over-w", "0.3", "--phi", "0.9", "--alpha", "0"]
+
+
+def _main_writes(monkeypatch, table, fmt, out):
+    """main's exit status for a ports command line whose run returns ``table``, written as ``fmt`` to ``out``."""
+    monkeypatch.setattr(cli, "execute", lambda config: cli.RunResult(table))
+    return main([*_PORTS_ARGV, "--format", fmt, "--out", str(out)])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2n+1", "empty"])
+def test_writer_is_seamless_across_row_chunks(offset, monkeypatch, tmp_path, capsys):
+    # main streams the table to its file chunk by chunk: the file must hold the in-memory bytes, the JSON tail
+    # fixed on the last chunk only, and "[]" for no rows
+    n = 0 if offset == "empty" else 2 * cli._CHUNK_ROWS + 1 if offset == "2n+1" else cli._CHUNK_ROWS + offset
     rng = np.random.default_rng(n)
     floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
     ints = rng.integers(-(2**63), 2**63 - 1, n).tolist()
@@ -352,8 +377,28 @@ def test_writer_is_seamless_across_row_chunks(offset):
     names = ["x", "n", "s"]
     rows = list(zip(floats, ints, strs))
     table = typed_table({"x": floats, "n": ints, "s": strs})
-    _assert_bytes(write_table(names, table, "csv"), _reference_csv(names, rows))
-    _assert_bytes(write_table(names, table, "json"), _reference_json(names, rows))
+    for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
+        text = write_table(names, table, fmt)
+        _assert_bytes(text, reference(names, rows))
+        out = tmp_path / f"table.{fmt}"
+        assert _main_writes(monkeypatch, table, fmt, out) == 0
+        assert out.read_bytes() == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_refused_table_never_touches_the_file(fmt, monkeypatch, tmp_path, capsys):
+    # the finiteness check covers the whole table before the first byte leaves, so the lazily opened file is
+    # neither created nor truncated, though the NaN sits past the first chunk
+    values = np.zeros(cli._CHUNK_ROWS + 2)
+    values[-1] = math.nan
+    table = typed_table({"x": values, "n": np.arange(values.size)})
+    fresh, existing = tmp_path / "new" / f"table.{fmt}", tmp_path / f"old.{fmt}"
+    existing.write_bytes(b"x,n\n1.0,2\n")
+    for out in (fresh, existing):
+        assert _main_writes(monkeypatch, table, fmt, out) == 1
+        assert "non-finite" in capsys.readouterr().err
+    assert not fresh.parent.exists()
+    assert existing.read_bytes() == b"x,n\n1.0,2\n"
 
 
 _SWEEP_201 = {"mode": "sweep", "delta_over_w_min": "0", "delta_over_w_max": "3", "delta_over_w_steps": "201",
@@ -374,19 +419,38 @@ def test_writer_peak_allocation_is_bounded_by_its_output(fmt):
     assert peak <= 1.75 * len(text)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_main_peak_allocation_is_bounded_by_the_file_it_writes(fmt, tmp_path, capsys):
-    out = tmp_path / f"sweep.{fmt}"
-    argv = [f"--{key.replace('_', '-')}={value}" for key, value in _SWEEP_201.items() if key != "mode"]
+def _traced_peak(call):
+    """``call()``'s result and its traced allocation peak in bytes."""
     tracemalloc.start()
     try:
-        assert main(["sweep", *argv, "--format", fmt, "--out", str(out)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sweep's rows, the table's bytes and a chunk peak at 1.8x (CSV) and 1.5x (JSON) of the file; a str
-    # round trip on the way to the file, a decode or a text-mode write, makes 2.4x to 2.6x
-    assert peak <= 2.1 * out.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys):
+    # the table goes to the file chunk by chunk, so main peaks at the run's own peak plus a chunk's temporaries
+    # (3.2 MB, and 5.0 MB for CSV, 5.4 MB for JSON); holding the 4.7 MB CSV or 8.7 MB JSON file breaks the bound
+    out = tmp_path / f"sweep.{fmt}"
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in _SWEEP_201.items() if key != "mode"]
+    _, run = _traced_peak(lambda: execute(build_config(_SWEEP_201)))
+    code, peak = _traced_peak(lambda: main(["sweep", *argv, "--format", fmt, "--out", str(out)]))
+    assert code == 0 and out.stat().st_size > 4_000_000
+    assert peak <= run + 4_000_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("steps", [201, 501])
+def test_writer_peak_allocation_into_a_sink_does_not_grow_with_the_table(steps, fmt):
+    # one chunk's temporaries: 3.4 MB (CSV) and 3.8 MB (JSON) at both sizes, for files of 4.7 to 54 MB
+    config = {**_SWEEP_201, "delta_over_w_steps": str(steps), "phi_steps": str(steps)}
+    result = execute(build_config(config))
+    write_table(result.columns, result.rows[:1024], fmt, _Counting())  # builds floatfmt's digit tables once
+    sink, peak = _traced_peak(lambda: write_table(result.columns, result.rows, fmt, _Counting()))
+    assert len(sink) > 4_000_000
+    assert peak < 5_000_000
 
 
 # ---------------------------------------------------------------------------

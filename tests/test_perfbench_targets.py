@@ -28,9 +28,10 @@ def test_every_traced_attribute_resolves_to_a_callable():
     assert missing == []
 
 
-@pytest.mark.parametrize("case", ["fig2a.csv", "design.json", "non-ascii.csv"])
+@pytest.mark.parametrize("case", ["fig2a.csv", "design.json", "fig4.json", "non-ascii.csv"])
 def test_traced_table_bytes_are_the_size_of_the_written_file(case, monkeypatch, tmp_path, capsys):
-    # cli.write_table.bytes is len() of the writer's return value: it must be the buffer of the file's bytes
+    # cli.write_table.bytes is len() of the writer's return value, main's file sink: it must count the file's
+    # bytes, over the three chunks of fig4's 10,201 rows too
     preset, fmt = case.split(".")
     out = tmp_path / case
     if preset == "non-ascii":  # a ports command line whose run returns a table with a two-byte character
