@@ -33,7 +33,8 @@ from .core import (
     PortPair,
 )
 
-__all__ = ["RunConfig", "RunResult", "typed_table", "parse_config", "execute", "write_table", "main", "app"]
+__all__ = ["RunConfig", "RunResult", "typed_table", "GridTable", "parse_config", "execute", "write_table", "main",
+           "app"]
 
 MODES = ("distributions", "decompose", "sweep", "ports", "design", "verify")
 
@@ -43,7 +44,8 @@ _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D m
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
 # a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (one real float64 plane per oracle,
 # a traced peak of about 33.9 MB per call), a DFT of 2^20 points, and a sweep of 10^6 rows (four
-# times the 501 x 501 sweep; a fresh process peaks at about 109 MiB as CSV or JSON).
+# times the 501 x 501 sweep; a fresh process peaks at about 70 MiB at 1000 x 1000 and 93 MiB at
+# 2 x 500,000, as CSV or JSON).
 MAX_GRID_POINTS = 2**20 + 1
 MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20
@@ -152,7 +154,7 @@ def _mode_keys(mode: str, *roles: str) -> list[str]:
 
 @dataclass
 class RunResult:
-    rows: np.ndarray  # one typed field per column, see typed_table
+    rows: np.ndarray | GridTable  # one typed field per column, see typed_table and GridTable
     summary: list[str] = field(default_factory=list)
     exit_code: int = 0
 
@@ -179,6 +181,25 @@ def typed_table(columns: dict[str, object]) -> np.ndarray:
     for name, a in arrays.items():
         rows[name] = a
     return rows
+
+
+@dataclass(frozen=True)
+class GridTable:
+    """A table over the product of two axes, in row-major order (the first axis outer), without its repeated cells:
+    each float64 column keeps the shape it varies over, (n, 1) or (1, m) for an axis and (n, m) for a plane.
+    :func:`write_table` reads it as it reads a :func:`typed_table`: ``len``, ``dtype`` and a column by name."""
+
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return math.prod(np.broadcast_shapes(*(a.shape for a in self.columns.values())))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.dtype([(name, a.dtype) for name, a in self.columns.items()])
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -383,12 +404,12 @@ def _run_sweep(config: RunConfig) -> RunResult:
     deltas = np.linspace(config.delta_over_w_min, config.delta_over_w_max, config.delta_over_w_steps)
     phis = np.linspace(config.phi_min, config.phi_max, config.phi_steps)
     surface = analytic.mean_surface(deltas[:, None], phis[None, :], config.alpha)
-    rows = typed_table({  # row-major: delta outer, phi inner
-        "delta_over_W": np.repeat(deltas, phis.size),
-        "phi_rad": np.tile(phis, deltas.size),
-        "mean_p1_over_W": surface.mean.ravel(),
-        "mean_p1_single_overlap_over_W": surface.mean_single_overlap.ravel(),
-        "postselect_norm": surface.norm.ravel(),
+    rows = GridTable({  # row-major: delta outer, phi inner
+        "delta_over_W": deltas[:, None],
+        "phi_rad": phis[None, :],
+        "mean_p1_over_W": surface.mean,
+        "mean_p1_single_overlap_over_W": surface.mean_single_overlap,
+        "postselect_norm": surface.norm,
     })
     anomalous = surface.mean > 0.0
     count = int(np.count_nonzero(anomalous))
@@ -527,7 +548,7 @@ def execute(config: RunConfig) -> RunResult:
 # Table writers
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 2**12  # rows per byte matrix; a chunk of five float columns holds under 2 MB of temporaries
+_CHUNK_ROWS = 2**12  # rows per byte matrix; a block of five float columns holds under 2 MB of temporaries
 
 # Text of an int or str cell (ASCII str, or UTF-8 bytes that keep lone surrogates as a str does) and its
 # "S" dtype, fixed where the kind bounds it (an int64 takes 20 characters) to halve numpy's cost.
@@ -535,39 +556,56 @@ _CELL_TEXT = {("csv", "i"): (str, "S20"), ("json", "i"): (str, "S20"), ("json", 
               ("csv", "U"): (lambda text: text.encode("utf-8", "surrogatepass"), "S")}
 
 
+def _cells(values: np.ndarray, fmt: str) -> np.ndarray:
+    """The text of each of ``values`` as a zero-padded uint8 cell, shape ``values.shape + (width,)``."""
+    if values.dtype.kind == "f":
+        return (floatfmt.e16 if fmt == "csv" else floatfmt.shortest)(values)
+    text, dtype = _CELL_TEXT[fmt, values.dtype.kind]
+    return np.array(list(map(text, values.ravel().tolist())), dtype=dtype).view(np.uint8).reshape(values.shape + (-1,))
+
+
 def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
-    """The rows of one chunk: its (rows, width) blocks of zero-padded cells between the separators, zeros dropped.
-    Its matrix dies on return, before the next chunk is formatted, which keeps the writer's peak at one chunk."""
-    template = b"".join(const + bytes(block.shape[1]) for const, block in zip(between, blocks)) + between[-1]
-    text = bytearray(template) * len(blocks[0])  # every row's separators around zeroed cell slots
-    matrix, end = np.frombuffer(text, np.uint8).reshape(len(blocks[0]), -1), 0
+    """The rows of one block: its (outer, inner, width) arrays of zero-padded cells between the separators, zeros
+    dropped.  Its matrix dies on return, before the next block is formatted: the writer's peak is one block's."""
+    template = b"".join(const + bytes(block.shape[-1]) for const, block in zip(between, blocks)) + between[-1]
+    text = bytearray(template) * math.prod(blocks[0].shape[:-1])  # every row's separators around zeroed cell slots
+    matrix, end = np.frombuffer(text, np.uint8).reshape(*blocks[0].shape[:-1], -1), 0
     for const, block in zip(between, blocks):
-        end += len(const) + block.shape[1]
-        matrix[:, end - block.shape[1]:end] = block
+        end += len(const) + block.shape[-1]
+        matrix[..., end - block.shape[-1]:end] = block
     return text.translate(None, b"\0")
 
 
-def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv", out=None):
-    """Append a :func:`typed_table`'s CSV or JSON text, as UTF-8 bytes, to ``out`` (a new ``bytearray`` by default)
-    with ``+=`` and return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.
+def write_table(columns: list[str], rows: np.ndarray | GridTable, fmt: str = "csv", out=None):
+    """Append a table's CSV or JSON text, as UTF-8 bytes, to ``out`` (a new ``bytearray`` by default) with ``+=`` and
+    return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.  The table is a
+    :func:`typed_table`, read as one row of a grid, or a :class:`GridTable`.
 
-    The head goes first, then chunks of ``_CHUNK_ROWS`` rows, each one uint8 matrix: a template row of the separators
-    repeated, the chunk's zero-padded cell blocks assigned into its slots, its zero bytes dropped in one pass.  No
-    bytes are decoded (a ``str`` of a 29 MB table, and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV
-    floats are ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`,
-    with ``%`` or ``repr`` itself formatting the cells its error bound cannot decide.  JSON is
-    ``json.dumps(objects, indent=2)`` of the rows as objects, ``[]`` for none.  Identical inputs give identical
-    bytes.  Floats must be finite, since JSON cannot spell nan or inf, and all are checked before the first byte.
+    The head goes first, then blocks of at most ``_CHUNK_ROWS`` rows (whole grid rows, or a slice of one), each one
+    uint8 matrix: a template row of the separators repeated, the block's zero-padded cells assigned into its slots (an
+    axis's as a broadcast of its text, formatted once), its zero bytes dropped in one pass.  No bytes are decoded (a
+    ``str`` of a 29 MB table, and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV floats are
+    ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`, with ``%`` or
+    ``repr`` itself formatting the cells its error bound cannot decide.  JSON is ``json.dumps(objects, indent=2)`` of
+    the rows as objects, ``[]`` for none.  Identical inputs give identical bytes.  Floats must be finite, since JSON
+    cannot spell nan or inf, and all are checked before the first byte.
     """
     if list(columns) != list(rows.dtype.names):
         raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.dtype.names)}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
-    kinds = [rows.dtype[name].kind for name in columns]
-    floats = [name for name, kind in zip(columns, kinds) if kind == "f"]
-    for name in floats:  # whole columns in order, before any byte: the error names the first bad column
-        if not np.isfinite(rows[name]).all():
+    grid = [np.atleast_2d(rows[name]) for name in columns]
+    for name, values in zip(columns, grid):  # whole columns in order, before any byte: the error names the first bad
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
+    shape = np.broadcast_shapes(*(values.shape for values in grid))
+    floats = [k for k, values in enumerate(grid) if values.shape == shape and values.dtype.kind == "f"]
+    axes = {}
+    for k, values in enumerate(grid):
+        if values.shape != shape:  # an axis: formatted in pieces of a block's size, joined as "S" cells of any width
+            pieces = [_cells(piece, fmt) for piece in np.array_split(values.ravel(), -(-values.size // _CHUNK_ROWS))]
+            text = np.concatenate([piece.view(f"S{piece.shape[-1]}") for piece in pieces]).view(np.uint8)
+            axes[k] = np.broadcast_to(text.reshape(values.shape + text.shape[-1:]), shape + text.shape[-1:])
     if fmt == "csv":
         head = ",".join(columns) + "\n"
         between = [""] + [","] * (len(columns) - 1) + ["\n"]  # before each cell, then after the row
@@ -578,17 +616,16 @@ def write_table(columns: list[str], rows: np.ndarray, fmt: str = "csv", out=None
     between = [text.encode() for text in between]
     out = bytearray() if out is None else out
     out += head.encode("utf-8", "surrogatepass")
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk, cells = rows[start:start + _CHUNK_ROWS], {}
+    width = min(shape[1], _CHUNK_ROWS) or 1  # of a block: a whole outer row, or a slice of one
+    height = _CHUNK_ROWS // width
+    blocks = [np.s_[i:i + height, j:j + width] for i in range(0, shape[0], height) for j in range(0, shape[1], width)]
+    for b, block in enumerate(blocks):
+        cells = {k: text[block] for k, text in axes.items()}
         if floats:  # one call for every float column: a call per column costs wide tables dearly
-            stacked = np.stack([chunk[name] for name in floats], axis=1)
-            cells = dict(zip(floats, np.moveaxis((floatfmt.e16 if fmt == "csv" else floatfmt.shortest)(stacked), 1, 0)))
-        for name, kind in zip(columns, kinds):
-            if kind != "f":
-                text, dtype = _CELL_TEXT[fmt, kind]
-                cells[name] = np.array(list(map(text, chunk[name].tolist())), dtype=dtype).view(np.uint8)
-        piece = _rows_bytes([cells[name].reshape(len(chunk), -1) for name in columns], between)
-        if fmt == "json" and start + _CHUNK_ROWS >= len(rows):  # as json.dumps: no comma after the last object
+            cells.update(zip(floats, _cells(np.stack([grid[k][block] for k in floats]), fmt)))
+        cells.update((k, _cells(values[block], fmt)) for k, values in enumerate(grid) if k not in cells)
+        piece = _rows_bytes([cells[k] for k in range(len(grid))], between)
+        if fmt == "json" and b == len(blocks) - 1:  # as json.dumps: no comma after the last object
             piece[-2:] = b"\n]\n"
         out += piece
     return out

@@ -414,7 +414,7 @@ def test_writer_peak_allocation_is_bounded_by_its_output(fmt):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the buffer and one chunk's temporaries peak at about 1.45x; a str of the text besides its bytes makes
+    # the buffer and one block's temporaries peak at about 1.3x to 1.4x; a str of the text besides its bytes makes
     # 2.3x, and a writer holding per-cell strings or rows 3x to 4x
     assert peak <= 1.75 * len(text)
 
@@ -431,8 +431,8 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys):
-    # the table goes to the file chunk by chunk, so main peaks at the run's own peak plus a chunk's temporaries
-    # (3.2 MB, and 5.0 MB for CSV, 5.4 MB for JSON); holding the 4.7 MB CSV or 8.7 MB JSON file breaks the bound
+    # the table goes to the file block by block, so main peaks at the run's own peak plus a block's temporaries
+    # (1.8 MB, and 3.2 MB for CSV, 4.4 MB for JSON); holding the 4.7 MB CSV or 8.7 MB JSON file breaks the bound
     out = tmp_path / f"sweep.{fmt}"
     argv = [f"--{key.replace('_', '-')}={value}" for key, value in _SWEEP_201.items() if key != "mode"]
     _, run = _traced_peak(lambda: execute(build_config(_SWEEP_201)))
@@ -442,15 +442,65 @@ def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("steps", [201, 501])
-def test_writer_peak_allocation_into_a_sink_does_not_grow_with_the_table(steps, fmt):
-    # one chunk's temporaries: 3.4 MB (CSV) and 3.8 MB (JSON) at both sizes, for files of 4.7 to 54 MB
-    config = {**_SWEEP_201, "delta_over_w_steps": str(steps), "phi_steps": str(steps)}
+def test_main_peak_allocation_on_the_501_sweep_stays_under_six_planes(fmt, tmp_path, capsys):
+    # the sweep's table is its two axes and three mean_surface planes, never the 10 MB row-major copy of them, so
+    # main traces the planes' computation and one block's temporaries: under six float64 planes of the grid
+    config = {**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in config.items() if key != "mode"]
+    out = tmp_path / f"sweep.{fmt}"
+    write_table(["x"], typed_table({"x": np.linspace(0.0, 1.0, 1024)}), fmt, _Counting())  # builds floatfmt's tables
+    code, peak = _traced_peak(lambda: main(["sweep", *argv, "--format", fmt, "--out", str(out)]))
+    assert code == 0 and out.stat().st_size > 29_000_000
+    assert peak <= 6 * 8 * 501 * 501
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("steps,size", [((201, 201), 4_000_000), ((501, 501), 4_000_000),
+                                        ((2, 3 * cli._CHUNK_ROWS + 5), 2_500_000)], ids=["201", "501", "wide-phi"])
+def test_writer_peak_allocation_into_a_sink_does_not_grow_with_the_table(steps, size, fmt):
+    # one block's temporaries: 2.2 to 2.8 MB (CSV) and 3.4 to 4.0 MB (JSON), for files of 2.9 to 54 MB; the wide
+    # grid's blocks are slices of a phi row, where one block per delta row would hold 12,293 rows' temporaries
+    config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
     result = execute(build_config(config))
-    write_table(result.columns, result.rows[:1024], fmt, _Counting())  # builds floatfmt's digit tables once
+    write_table(["x"], typed_table({"x": np.linspace(0.0, 1.0, 1024)}), fmt, _Counting())  # builds floatfmt's tables
     sink, peak = _traced_peak(lambda: write_table(result.columns, result.rows, fmt, _Counting()))
-    assert len(sink) > 4_000_000
+    assert len(sink) > size
     assert peak < 5_000_000
+
+
+def _sweep_config(delta_steps, phi_steps, delta_min=0.0, delta_span=3.0, phi_min=0.0, phi_span=2 * math.pi,
+                  alpha=0.4):
+    return {"mode": "sweep", "delta_over_w_min": repr(delta_min), "delta_over_w_max": repr(delta_min + delta_span),
+            "delta_over_w_steps": str(delta_steps), "phi_min": repr(phi_min), "phi_max": repr(phi_min + phi_span),
+            "phi_steps": str(phi_steps), "alpha": repr(alpha)}
+
+
+def _row_major(result):
+    """A mode's table as rows of Python values, the first axis outer, whatever shape its columns are held at."""
+    columns = np.broadcast_arrays(*(result.rows[name] for name in result.columns))
+    return list(zip(*(values.ravel().tolist() for values in columns)))
+
+
+_PINNED = [_sweep_config(d, cli._CHUNK_ROWS + k) for d in (2, 3) for k in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(_sweep_config, st.integers(2, 60), st.integers(2, 60), st.floats(0.0, 2.0), st.floats(1e-3, 3.0),
+                 st.floats(-7.0, 7.0), st.floats(1e-3, 7.0), st.floats(-math.pi, math.pi).filter(bool)))
+@example(_PINNED[0])
+@example(_PINNED[1])
+@example(_PINNED[2])
+@example(_PINNED[3])
+@example(_PINNED[4])
+@example(_PINNED[5])
+def test_sweep_tables_match_the_reference_of_their_row_major_expansion(config):
+    # the writer assembles a sweep from its axes and planes in blocks of whole delta rows or slices of one; the
+    # bytes must be those of the rows written out one by one
+    result = execute(build_config(config))
+    rows = _row_major(result)
+    assert len(rows) == len(result.rows) == int(config["delta_over_w_steps"]) * int(config["phi_steps"])
+    _assert_bytes(write_table(result.columns, result.rows, "csv"), _reference_csv(result.columns, rows))
+    _assert_bytes(write_table(result.columns, result.rows, "json"), _reference_json(result.columns, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +556,13 @@ def test_sweep_rows_and_dark_convention():
     )
     result = execute(config)
     assert len(result.rows) == 25  # steps arithmetic
-    dark = [row for row in result.rows if row[4] <= 1e-12]
+    rows = _row_major(result)
+    dark = [row for row in rows if row[4] <= 1e-12]
     assert len(dark) == 1  # only delta = 0, phi = pi
     assert dark[0][0] == 0.0 and dark[0][1] == pytest.approx(math.pi)
     assert dark[0][2] == 0.0 and dark[0][3] == 0.0
     # row-major emission: delta outer, phi inner
-    assert [row[0] for row in result.rows[:5]] == [0.0] * 5
+    assert [row[0] for row in rows[:5]] == [0.0] * 5
 
 
 def test_ports_mode_table():

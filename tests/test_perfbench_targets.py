@@ -49,3 +49,24 @@ def test_traced_table_bytes_are_the_size_of_the_written_file(case, monkeypatch, 
         tracer.remove()
     assert tracer.calls["cli.write_table"] == 1
     assert tracer.metric("cli.write_table.bytes", 1) == out.stat().st_size
+
+
+@pytest.mark.parametrize("case", ["37x41.csv", "3x4097.json"])
+def test_traced_sweep_counts_every_row_and_the_written_file(case, tmp_path, capsys):
+    # a sweep hands the writer its axes and planes at their own shapes, not its rows: len() of that table must still
+    # be the row count, which the tracer reads, so cli.write_table.cells is five cells a row
+    shape, fmt = case.split(".")
+    delta_steps, phi_steps = (int(n) for n in shape.split("x"))
+    out = tmp_path / case
+    argv = ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "3", "--delta-over-w-steps", str(delta_steps),
+            "--phi-min", "0", "--phi-max", "2pi", "--phi-steps", str(phi_steps), "--alpha", "0.4",
+            "--format", fmt, "--out", str(out)]
+    tracer = _spans().Tracer(MODULES)
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.remove()
+    assert tracer.calls["cli.write_table"] == 1
+    assert tracer.metric("cli.write_table.cells", 1) == 5 * delta_steps * phi_steps
+    assert tracer.metric("cli.write_table.bytes", 1) == out.stat().st_size
