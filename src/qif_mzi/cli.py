@@ -44,8 +44,8 @@ _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D m
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
 # a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (one real float64 plane per oracle,
 # a traced peak of about 33.9 MB per call), a DFT of 2^20 points, and a sweep of 10^6 rows (four
-# times the 501 x 501 sweep; a fresh process peaks at about 70 MiB at 1000 x 1000 and 93 MiB at
-# 2 x 500,000, as CSV or JSON).
+# times the 501 x 501 sweep; a fresh process peaks at about 56 MiB as CSV and 58 MiB as JSON at
+# 1000 x 1000, and at 82 and 84 MiB at 2 x 500,000, where the writer holds the phi axis as text).
 MAX_GRID_POINTS = 2**20 + 1
 MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20
@@ -200,6 +200,14 @@ class GridTable:
     @property
     def dtype(self) -> np.dtype:
         return np.dtype([(name, a.dtype) for name, a in self.columns.items()])
+
+
+def _blocks(shape: tuple[int, int], cells: int) -> list[tuple[slice, slice]]:
+    """Row-major blocks of at most ``cells`` cells that tile an (n, m) grid: whole rows, or slices of one row where m
+    exceeds ``cells``."""
+    width = min(shape[1], cells) or 1
+    height = cells // width
+    return [np.s_[i:i + height, j:j + width] for i in range(0, shape[0], height) for j in range(0, shape[1], width)]
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -400,10 +408,19 @@ def _run_decompose(config: RunConfig) -> RunResult:
     return RunResult(rows, summary)
 
 
+# Grid points per mean_surface call in a sweep: its temporaries, about five float64 planes of the block, stay near
+# 1.3 MB at any grid size, and 8 calls for the 501 x 501 sweep cost no more time than one.
+_SURFACE_CELLS = 2**15
+
+
 def _run_sweep(config: RunConfig) -> RunResult:
     deltas = np.linspace(config.delta_over_w_min, config.delta_over_w_max, config.delta_over_w_steps)
     phis = np.linspace(config.phi_min, config.phi_max, config.phi_steps)
-    surface = analytic.mean_surface(deltas[:, None], phis[None, :], config.alpha)
+    shape = (deltas.size, phis.size)
+    surface = analytic.MeanSurface(np.empty(shape), np.empty(shape), np.empty(shape))
+    for rows, cols in _blocks(shape, _SURFACE_CELLS):
+        for plane, part in zip(surface, analytic.mean_surface(deltas[rows, None], phis[None, cols], config.alpha)):
+            plane[rows, cols] = part
     rows = GridTable({  # row-major: delta outer, phi inner
         "delta_over_W": deltas[:, None],
         "phi_rad": phis[None, :],
@@ -548,7 +565,9 @@ def execute(config: RunConfig) -> RunResult:
 # Table writers
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 2**12  # rows per byte matrix; a block of five float columns holds under 2 MB of temporaries
+# Rows per byte matrix: a block of the sweep's five columns traces 1.1 to 1.7 MB of temporaries as CSV, 2.1 to 2.7 MB as
+# JSON, its text and the copy with the zeros dropped the most of it.
+_CHUNK_ROWS = 2**12
 
 # Text of an int or str cell (ASCII str, or UTF-8 bytes that keep lone surrogates as a str does) and its
 # "S" dtype, fixed where the kind bounds it (an int64 takes 20 characters) to halve numpy's cost.
@@ -566,13 +585,15 @@ def _cells(values: np.ndarray, fmt: str) -> np.ndarray:
 
 def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
     """The rows of one block: its (outer, inner, width) arrays of zero-padded cells between the separators, zeros
-    dropped.  Its matrix dies on return, before the next block is formatted: the writer's peak is one block's."""
-    template = b"".join(const + bytes(block.shape[-1]) for const, block in zip(between, blocks)) + between[-1]
+    dropped.  Each array leaves ``blocks`` as it is assigned, so the cells are freed before ``translate`` copies the
+    text, and the matrix dies on return: the writer's peak is one block's text and its copy."""
+    widths = [block.shape[-1] for block in blocks]
+    template = b"".join(const + bytes(width) for const, width in zip(between, widths)) + between[-1]
     text = bytearray(template) * math.prod(blocks[0].shape[:-1])  # every row's separators around zeroed cell slots
     matrix, end = np.frombuffer(text, np.uint8).reshape(*blocks[0].shape[:-1], -1), 0
-    for const, block in zip(between, blocks):
-        end += len(const) + block.shape[-1]
-        matrix[..., end - block.shape[-1]:end] = block
+    for const, width in zip(between, widths):
+        end += len(const) + width
+        matrix[..., end - width:end] = blocks.pop(0)
     return text.translate(None, b"\0")
 
 
@@ -616,18 +637,17 @@ def write_table(columns: list[str], rows: np.ndarray | GridTable, fmt: str = "cs
     between = [text.encode() for text in between]
     out = bytearray() if out is None else out
     out += head.encode("utf-8", "surrogatepass")
-    width = min(shape[1], _CHUNK_ROWS) or 1  # of a block: a whole outer row, or a slice of one
-    height = _CHUNK_ROWS // width
-    blocks = [np.s_[i:i + height, j:j + width] for i in range(0, shape[0], height) for j in range(0, shape[1], width)]
+    blocks = _blocks(shape, _CHUNK_ROWS)
     for b, block in enumerate(blocks):
         cells = {k: text[block] for k, text in axes.items()}
         if floats:  # one call for every float column: a call per column costs wide tables dearly
             cells.update(zip(floats, _cells(np.stack([grid[k][block] for k in floats]), fmt)))
         cells.update((k, _cells(values[block], fmt)) for k, values in enumerate(grid) if k not in cells)
-        piece = _rows_bytes([cells[k] for k in range(len(grid))], between)
+        piece = _rows_bytes([cells.pop(k) for k in range(len(grid))], between)
         if fmt == "json" and b == len(blocks) - 1:  # as json.dumps: no comma after the last object
             piece[-2:] = b"\n]\n"
         out += piece
+        del piece  # else it lives on through the next block's formatting
     return out
 
 

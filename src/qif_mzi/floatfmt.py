@@ -62,20 +62,30 @@ def _tables():
 
 def _split(v):
     """Veltkamp's split of doubles into two 26-bit halves, v = high + low exactly."""
-    c = 134217729.0 * v
-    high = c - (c - v)
-    return high, v - high
+    high = 134217729.0 * v  # c
+    low = high - v
+    high -= low  # c - (c - v)
+    return high, np.subtract(v, high, out=low)
 
 
 def _product(m, ex, k):
     """y = m 2^ex 10^(16 - k) as yh + yl, with its binary scale and the parts of 10^(16 - k) that make it."""
+    powers, lows, scales = _tables()[0]
     row = 16 - _E_LO - k
-    hi, lo, b = (column[row] for column in _tables()[0])
+    hi, scale = powers[row], scales[row]
+    del row
+    scale += ex  # int32: numpy's ldexp is about 20 times slower with int64 exponents
     p = m * hi
     (m_h, m_l), (hi_h, hi_l) = _split(m), _split(hi)
-    err = ((m_h * hi_h - p) + m_h * hi_l + m_l * hi_h) + m_l * hi_l  # m hi = p + err exactly (Dekker)
-    scale = ex + b  # int32: numpy's ldexp is about 20 times slower with int64 exponents
-    return np.ldexp(p, scale), np.ldexp(err + m * lo, scale), scale, hi, lo
+    err = m_h * hi_h
+    err -= p
+    err += np.multiply(m_h, hi_l, out=m_h)  # m hi = p + err exactly (Dekker); each product overwrites a dead half
+    err += np.multiply(m_l, hi_h, out=hi_h)
+    err += np.multiply(m_l, hi_l, out=m_l)
+    del m_h, m_l, hi_h
+    lo = np.take(lows, 16 - _E_LO - k, out=hi_l)  # gathered once the halves are spent
+    err += m * lo
+    return np.ldexp(p, scale, out=p), np.ldexp(err, scale, out=err), scale, hi, lo
 
 
 def _core(x, half_ulp):
@@ -86,7 +96,8 @@ def _core(x, half_ulp):
     a = np.abs(x)
     a[zero] = 1.0
     m, ex = np.frexp(a)
-    k = np.floor(np.log10(a)).astype(np.intp)  # intp: a gather index of any other type is cast first
+    k = np.floor(np.log10(a, out=a), out=a).astype(np.intp)  # intp: a gather index of any other type is cast first
+    del a
     parts = _product(m, ex, k)
     yh, yl, scale, hi, lo = parts
     # log10 can miss by one next to a power of ten; yh - 1e16 and yh - 1e17 are exact, so these signs are too.  Where
@@ -98,12 +109,18 @@ def _core(x, half_ulp):
         k[moved] += np.where(high[moved] >= 0, 1, -1)
         for part, new in zip(parts, _product(m[moved], ex[moved], k[moved])):
             part[moved] = new
-    below = np.floor(yl)
+    del parts, high
     ulp = None
     if half_ulp:  # the ulp is 2^(ex - 53) for normals, 2^-1074 below
         half = scale - ex + np.maximum(ex, -1021) - 54
-        ulp = np.ldexp(hi, half), np.ldexp(lo, half), m == 0.5
-    return k, yh.astype(np.int64) + below.astype(np.int64), yl - below, zero, ulp
+        ulp = np.ldexp(hi, half, out=hi), np.ldexp(lo, half, out=lo), m == 0.5
+    del scale, hi, lo, m, ex
+    below = np.floor(yl)
+    n = yh.astype(np.int64)
+    del yh
+    n += below.astype(np.int64)
+    yl -= below
+    return k, n, yl, zero, ulp
 
 
 def _digits(x, shortest):
@@ -114,13 +131,22 @@ def _digits(x, shortest):
     if shortest:
         h, h_lo, power_of_two = ulp  # x's half ulp in units of y, as h_int + h_frac + h_lo
         h_int = np.floor(h)
-        h_frac = h - h_int
+        h_frac = np.subtract(h, h_int, out=h)
         # the integers in x's rounding interval [y - h, y + h] are [first, last]; an end near an integer is undecided
-        g_first, g_last = frac - h_frac - h_lo, frac + h_frac + h_lo
-        first = n - h_int.astype(np.int64) + np.ceil(g_first).astype(np.int64)
-        last = n + h_int.astype(np.int64) + np.floor(g_last).astype(np.int64)
-        uncertain = (np.abs(g_first - np.rint(g_first)) < _MARGIN) | (np.abs(g_last - np.rint(g_last)) < _MARGIN)
-        uncertain |= power_of_two  # its interval is twice as long above it as below
+        g_first, g_last = frac - h_frac, frac + h_frac
+        g_first -= h_lo
+        g_last += h_lo
+        del ulp, h, h_frac, h_lo
+        h_int = h_int.astype(np.int64)
+        first, last = n - h_int, n + h_int
+        del h_int
+        first += np.ceil(g_first).astype(np.int64)
+        last += np.floor(g_last).astype(np.int64)
+        uncertain = power_of_two  # its interval is twice as long above it as below
+        for g in g_first, g_last:
+            g -= np.rint(g)
+            uncertain |= np.abs(g, out=g) < _MARGIN
+        del g, g_first, g_last
         # j: the largest power 10^j with a multiple in [first, last]; the test is monotone in j
         j, rows = np.zeros(x.size, np.int64), np.flatnonzero(~uncertain)
         for q in _P10[1:]:
@@ -129,13 +155,17 @@ def _digits(x, shortest):
                 break
             j[rows] += 1
         j[zero] = 16  # "0.0"
+        del first, last, rows
         q = _P10[j]
         above = n // q
-        rest = n - above * q
+        rest = np.subtract(n, above * q, out=n)
     # the multiple of q nearest to y: up when y mod q > q / 2, a tie when they are within _MARGIN
-    t = (2 * rest - q) + 2.0 * frac  # 2 (y mod q) - q, exact where it is small
+    t = np.multiply(frac, 2.0, out=frac)
+    t += 2 * rest - q  # 2 (y mod q) - q, exact where it is small
     uncertain = np.flatnonzero((uncertain | (np.abs(t) < 2.0 * _MARGIN)) & ~zero)
-    digits = (above + (t > 0)) * q
+    digits = above
+    digits += t > 0
+    digits *= q
     digits[zero], k[zero] = 0, 0
     carry = digits >= 10**17  # the double 1e-14 lies below 10^-14 and prints as 1.0000000000000000e-14
     digits[carry], k[carry] = 10**16, k[carry] + 1
@@ -155,17 +185,20 @@ def _render(x, shortest):
         words[:, w] = digits4[group]
         digits -= group * scale
     words[:, 4] = digits3[digits]
+    del digits
     words[:, 5] = exponents[k + 400]
     out = words.view(np.uint8)
     if shortest:
         # blank the digits past the last significant one, but positional "1200.0" keeps its integer zeros and one
         # fraction zero, and the exponent form drops its point with one digit left ("1e-05"); then gather the
         # positional forms' bytes, one exponent at a time
-        positional, p = (k >= -4) & (k < 16), 17 - j
+        positional, p = (k >= -4) & (k < 16), np.subtract(17, j, out=j)
         keep = np.where(positional & (k >= 0), np.maximum(p, k + 2), p)
+        del j, p
         words[:, 0] &= keep_bytes[np.where(keep > 1, 4, 2 + positional)]
         for w in range(1, 5):  # word w holds digits 4 w - 1 to 4 w + 2
             words[:, w] &= keep_bytes[np.clip(keep - 4 * w + 2, 0, 4)]
+        del keep
         words[:, 4] |= keep_bytes[5] * ~positional  # the "e"
         words[positional, 5] = keep_bytes[6]
         templates = _tables()[2]
@@ -190,7 +223,10 @@ def e16(values: np.ndarray) -> np.ndarray:
 
 def shortest(values: np.ndarray) -> np.ndarray:
     """``repr(v)``, json.dumps's text, for each float64 of ``values``, zero-padded to shape ``values.shape + (24,)``.
-    Each bit pattern is formatted once: grid axes repeat, and -0.0 stays apart from 0.0."""
+    Each bit pattern is formatted once, -0.0 apart from 0.0, since values repeat within a table's planes: a block of
+    ``fig2a`` holds 3,383 distinct values in 6,003 and takes 0.47 ms so, against 0.52 ms without.  (The axes, which
+    repeat the most, reach here once per table.)  A block without repeats pays for the check: ``fig3``'s 8,004
+    distinct values take 0.73 ms against 0.63 ms, and ``fig4``'s 10,097 in 12,120 1.14 against 1.11 ms."""
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     x = bits.view(np.float64)
     text = _exact(x, repr) if x.size < _SMALL else _render(x, shortest=True)

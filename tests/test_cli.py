@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -406,66 +405,85 @@ _SWEEP_201 = {"mode": "sweep", "delta_over_w_min": "0", "delta_over_w_max": "3",
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_writer_peak_allocation_is_bounded_by_its_output(fmt):
+def test_writer_peak_allocation_is_bounded_by_its_output(fmt, traced_peak):
     result = execute(build_config(_SWEEP_201))
-    tracemalloc.start()
-    try:
-        text = write_table(result.columns, result.rows, fmt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(lambda: write_table(result.columns, result.rows, fmt))
     # the buffer and one block's temporaries peak at about 1.3x to 1.4x; a str of the text besides its bytes makes
     # 2.3x, and a writer holding per-cell strings or rows 3x to 4x
     assert peak <= 1.75 * len(text)
 
 
-def _traced_peak(call):
-    """``call()``'s result and its traced allocation peak in bytes."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _sweep_argv(config):
+    return ["sweep", *(f"--{key.replace('_', '-')}={value}" for key, value in config.items() if key != "mode")]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys):
-    # the table goes to the file block by block, so main peaks at the run's own peak plus a block's temporaries
-    # (1.8 MB, and 3.2 MB for CSV, 4.4 MB for JSON); holding the 4.7 MB CSV or 8.7 MB JSON file breaks the bound
-    out = tmp_path / f"sweep.{fmt}"
-    argv = [f"--{key.replace('_', '-')}={value}" for key, value in _SWEEP_201.items() if key != "mode"]
-    _, run = _traced_peak(lambda: execute(build_config(_SWEEP_201)))
-    code, peak = _traced_peak(lambda: main(["sweep", *argv, "--format", fmt, "--out", str(out)]))
-    assert code == 0 and out.stat().st_size > 4_000_000
-    assert peak <= run + 4_000_000
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_main_peak_allocation_on_the_501_sweep_stays_under_six_planes(fmt, tmp_path, capsys):
-    # the sweep's table is its two axes and three mean_surface planes, never the 10 MB row-major copy of them, so
-    # main traces the planes' computation and one block's temporaries: under six float64 planes of the grid
-    config = {**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}
-    argv = [f"--{key.replace('_', '-')}={value}" for key, value in config.items() if key != "mode"]
-    out = tmp_path / f"sweep.{fmt}"
+def _warm_floatfmt(fmt):
     write_table(["x"], typed_table({"x": np.linspace(0.0, 1.0, 1024)}), fmt, _Counting())  # builds floatfmt's tables
-    code, peak = _traced_peak(lambda: main(["sweep", *argv, "--format", fmt, "--out", str(out)]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys, traced_peak):
+    # the table goes to the file block by block, so main peaks at the run's own peak plus what a block holds beyond
+    # it (none for CSV, 0.5 MB for JSON); keeping a block's text into the next block's formatting adds 1 to 2 MB and
+    # breaks the bound, as does holding the 4.7 MB CSV or 8.7 MB JSON file
+    out = tmp_path / f"sweep.{fmt}"
+    _warm_floatfmt(fmt)
+    _, run = traced_peak(lambda: execute(build_config(_SWEEP_201)))
+    code, peak = traced_peak(lambda: main([*_sweep_argv(_SWEEP_201), "--format", fmt, "--out", str(out)]))
+    assert code == 0 and out.stat().st_size > 4_000_000
+    assert peak <= run + 2_000_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_allocation_on_the_501_sweep_stays_under_four_and_a_half_planes(fmt, tmp_path, capsys,
+                                                                                   traced_peak):
+    # the sweep's table is its two axes and three mean_surface planes, filled block by block, so main traces the
+    # planes, one evaluation block's temporaries and then one writer block's: 3.94 float64 planes of the grid for CSV
+    # and 4.06 for JSON, where one whole-grid mean_surface call traced 5.21
+    config = {**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}
+    out = tmp_path / f"sweep.{fmt}"
+    _warm_floatfmt(fmt)
+    code, peak = traced_peak(lambda: main([*_sweep_argv(config), "--format", fmt, "--out", str(out)]))
     assert code == 0 and out.stat().st_size > 29_000_000
-    assert peak <= 6 * 8 * 501 * 501
+    assert peak <= 4.5 * 8 * 501 * 501
+
+
+@pytest.mark.parametrize("steps", [(501, 501), (1000, 1000), (2, 500_000)], ids=["501", "1000", "thin"])
+def test_execute_peak_allocation_exceeds_its_table_by_at_most_4_mb(steps, traced_peak):
+    # mean_surface runs on blocks of cli._SURFACE_CELLS grid points into the table's three planes: 1.9, 2.1 and 2.9 MB
+    # beyond the table, where one whole-grid call traced 4.4, 17.2 and 33.0 MB beyond it
+    config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
+    result, peak = traced_peak(lambda: execute(build_config(config)))
+    held = sum(result.rows[name].nbytes for name in result.columns)
+    assert held >= 3 * 8 * math.prod(steps)
+    assert peak <= held + 4_000_000
+
+
+@pytest.mark.parametrize("render,bound", [(floatfmt.e16, 10.5), (floatfmt.shortest, 11.25)], ids=["e16", "shortest"])
+def test_float_formatter_peak_allocation_per_block(render, bound, traced_peak):
+    # a writer block of the 501 x 501 sweep: 8 delta rows of its three planes, 12,024 doubles.  floatfmt frees its dead
+    # arrays and updates in place: 10.1 (e16) and 10.8 (shortest) times the input, against 16.7 and 17.7 with every
+    # intermediate alive to the end of its function; the 24-byte cells themselves are 3 times the input
+    result = execute(build_config({**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}))
+    block = np.stack([result.rows[name][200:208] for name in result.columns[2:]])
+    cells, peak = traced_peak(lambda: render(block), warm=True)
+    assert cells.shape == block.shape + (24,)
+    assert peak <= bound * block.nbytes
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("steps,size", [((201, 201), 4_000_000), ((501, 501), 4_000_000),
                                         ((2, 3 * cli._CHUNK_ROWS + 5), 2_500_000)], ids=["201", "501", "wide-phi"])
-def test_writer_peak_allocation_into_a_sink_does_not_grow_with_the_table(steps, size, fmt):
-    # one block's temporaries: 2.2 to 2.8 MB (CSV) and 3.4 to 4.0 MB (JSON), for files of 2.9 to 54 MB; the wide
+def test_writer_peak_allocation_into_a_sink_does_not_grow_with_the_table(steps, size, fmt, traced_peak):
+    # one block's temporaries: 1.1 to 1.7 MB (CSV) and 2.1 to 2.7 MB (JSON), for files of 2.9 to 54 MB; keeping the
+    # cells through the zero-dropping copy and the text into the next block makes 3.4 to 4.0 MB for JSON.  The wide
     # grid's blocks are slices of a phi row, where one block per delta row would hold 12,293 rows' temporaries
     config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
     result = execute(build_config(config))
-    write_table(["x"], typed_table({"x": np.linspace(0.0, 1.0, 1024)}), fmt, _Counting())  # builds floatfmt's tables
-    sink, peak = _traced_peak(lambda: write_table(result.columns, result.rows, fmt, _Counting()))
+    _warm_floatfmt(fmt)
+    sink, peak = traced_peak(lambda: write_table(result.columns, result.rows, fmt, _Counting()))
     assert len(sink) > size
-    assert peak < 5_000_000
+    assert peak < 3_000_000
 
 
 def _sweep_config(delta_steps, phi_steps, delta_min=0.0, delta_span=3.0, phi_min=0.0, phi_span=2 * math.pi,
@@ -501,6 +519,30 @@ def test_sweep_tables_match_the_reference_of_their_row_major_expansion(config):
     assert len(rows) == len(result.rows) == int(config["delta_over_w_steps"]) * int(config["phi_steps"])
     _assert_bytes(write_table(result.columns, result.rows, "csv"), _reference_csv(result.columns, rows))
     _assert_bytes(write_table(result.columns, result.rows, "json"), _reference_json(result.columns, rows))
+
+
+_BUDGET = cli._SURFACE_CELLS
+
+
+@pytest.mark.parametrize("steps", [(3, _BUDGET - 1), (3, _BUDGET), (3, _BUDGET + 1), (2, 3 * _BUDGET + 5), (501, 501)],
+                         ids=["budget-1", "budget", "budget+1", "thin", "501"])
+def test_sweep_planes_filled_in_blocks_equal_one_mean_surface_call(steps, monkeypatch):
+    # the sweep evaluates mean_surface on blocks of at most _BUDGET points, whole delta rows or slices of one (the 501
+    # rows fall into blocks of 65, the last of 46); each of its three planes must be that of one whole-grid call
+    whole_grid, shapes = analytic.mean_surface, []
+
+    def counted(delta_over_width, phi, alpha):
+        shapes.append(np.broadcast_shapes(delta_over_width.shape, phi.shape))
+        return whole_grid(delta_over_width, phi, alpha)
+
+    monkeypatch.setattr(analytic, "mean_surface", counted)
+    result = execute(build_config(_sweep_config(*steps, alpha=0.4)))
+    assert len(shapes) > 1 and max(map(math.prod, shapes)) <= _BUDGET
+    assert sum(map(math.prod, shapes)) == math.prod(steps)
+    expected = whole_grid(result.rows["delta_over_W"], result.rows["phi_rad"], 0.4)
+    for name, plane in zip(result.columns[2:], expected):
+        assert result.rows[name].shape == steps
+        assert np.array_equal(result.rows[name].view(np.int64), plane.view(np.int64)), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import cmath
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,32 +190,22 @@ def test_oracle_real_planes_match_complex_field_bit_for_bit(r, phi, alpha, delta
     assert np.array_equal(oracle.values, _complex_oracle_marginal(params, electron, grid))
 
 
-def _peak_planes(fn, n):
-    """Traced peak allocation of one call, in n x n float64 planes."""
-    fn()  # fills the shared grid cache outside the trace
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * n * n)
-
-
-def test_oracle_peak_allocation_is_one_real_plane_and_row_blocks():
+def test_oracle_peak_allocation_is_one_real_plane_and_row_blocks(traced_peak):
     params = InterferometerParams(0.6, 0.75 * math.pi, 0.4, 0.3, 1.0)
     grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
     # the squared density plane plus two 128 KiB row blocks; whole-plane temporaries would add at least one more
-    assert _peak_planes(lambda: joint_marginal_oracle(params, 1, grid), grid.n) <= 1.25
+    _, peak = traced_peak(lambda: joint_marginal_oracle(params, 1, grid), warm=True)
+    assert peak <= 1.25 * 8 * grid.n**2  # n x n float64 planes
 
 
-def test_both_oracles_hold_one_real_plane_at_the_joint_grid_bound():
+def test_both_oracles_hold_one_real_plane_at_the_joint_grid_bound(traced_peak):
     # cli.MAX_JOINT_GRID_POINTS is sized by this peak: one plane of about 34 MB per oracle call
     n = cli.MAX_JOINT_GRID_POINTS
     params, grid = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), default_grid(n=n)
     branches, basis = analytic.reduced_state(params, 1)
-    assert _peak_planes(lambda: joint_marginal_oracle(params, 1, grid), n) <= 1.25
-    assert _peak_planes(lambda: kernel_purity(branches.coefficients(), basis, grid), n) <= 1.25
+    _, oracle = traced_peak(lambda: joint_marginal_oracle(params, 1, grid), warm=True)
+    _, purity = traced_peak(lambda: kernel_purity(branches.coefficients(), basis, grid), warm=True)
+    assert max(oracle, purity) <= 1.25 * 8 * n**2
 
 
 def test_oracle_rejects_narrow_grid():
@@ -329,11 +318,11 @@ def test_kernel_purity_with_complex_phase():
     assert kernel_purity(branches.coefficients(), basis) == pytest.approx(branches.purity(), abs=1e-9)
 
 
-def test_kernel_purity_peak_allocation_is_one_real_plane_and_row_blocks():
+def test_kernel_purity_peak_allocation_is_one_real_plane_and_row_blocks(traced_peak):
     branches, basis = analytic.reduced_state(InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), 1)
     coeff, grid = branches.coefficients(), default_grid(n=numeric.DEFAULT_JOINT_POINTS)
     # the squares plane plus one 128 KiB complex row block; a whole complex kernel would add two more planes
-    assert _peak_planes(lambda: kernel_purity(coeff, basis, grid), grid.n) <= 1.25
+    assert traced_peak(lambda: kernel_purity(coeff, basis, grid), warm=True)[1] <= 1.25 * 8 * grid.n**2
 
 
 @settings(max_examples=40, deadline=None)
