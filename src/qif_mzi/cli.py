@@ -45,7 +45,7 @@ _GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D m
 # a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (one real float64 plane per oracle,
 # a traced peak of about 33.9 MB per call), a DFT of 2^20 points, and a sweep of 10^6 rows (four
 # times the 501 x 501 sweep; a fresh process peaks at about 56 MiB as CSV and 58 MiB as JSON at
-# 1000 x 1000, and at 82 and 84 MiB at 2 x 500,000, where the writer holds the phi axis as text).
+# 1000 x 1000, and at 71 and 74 MiB at 2 x 500,000, where the writer holds the phi axis's 12 MB of text once).
 MAX_GRID_POINTS = 2**20 + 1
 MAX_JOINT_GRID_POINTS = 2049
 MAX_KICK_POINTS = 2**20
@@ -191,6 +191,11 @@ class GridTable:
 
     columns: dict[str, np.ndarray]
 
+    def __post_init__(self):
+        for name, values in self.columns.items():  # the writer formats an axis into fixed 24-byte float cells
+            if values.dtype != np.float64:
+                raise ValueError(f"grid table column {name!r} is {values.dtype}, not float64")
+
     def __len__(self) -> int:
         return math.prod(np.broadcast_shapes(*(a.shape for a in self.columns.values())))
 
@@ -200,14 +205,6 @@ class GridTable:
     @property
     def dtype(self) -> np.dtype:
         return np.dtype([(name, a.dtype) for name, a in self.columns.items()])
-
-
-def _blocks(shape: tuple[int, int], cells: int) -> list[tuple[slice, slice]]:
-    """Row-major blocks of at most ``cells`` cells that tile an (n, m) grid: whole rows, or slices of one row where m
-    exceeds ``cells``."""
-    width = min(shape[1], cells) or 1
-    height = cells // width
-    return [np.s_[i:i + height, j:j + width] for i in range(0, shape[0], height) for j in range(0, shape[1], width)]
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -418,7 +415,7 @@ def _run_sweep(config: RunConfig) -> RunResult:
     phis = np.linspace(config.phi_min, config.phi_max, config.phi_steps)
     shape = (deltas.size, phis.size)
     surface = analytic.MeanSurface(np.empty(shape), np.empty(shape), np.empty(shape))
-    for rows, cols in _blocks(shape, _SURFACE_CELLS):
+    for rows, cols in numeric.blocks(shape, _SURFACE_CELLS):
         for plane, part in zip(surface, analytic.mean_surface(deltas[rows, None], phis[None, cols], config.alpha)):
             plane[rows, cols] = part
     rows = GridTable({  # row-major: delta outer, phi inner
@@ -623,10 +620,11 @@ def write_table(columns: list[str], rows: np.ndarray | GridTable, fmt: str = "cs
     floats = [k for k, values in enumerate(grid) if values.shape == shape and values.dtype.kind == "f"]
     axes = {}
     for k, values in enumerate(grid):
-        if values.shape != shape:  # an axis: formatted in pieces of a block's size, joined as "S" cells of any width
-            pieces = [_cells(piece, fmt) for piece in np.array_split(values.ravel(), -(-values.size // _CHUNK_ROWS))]
-            text = np.concatenate([piece.view(f"S{piece.shape[-1]}") for piece in pieces]).view(np.uint8)
-            axes[k] = np.broadcast_to(text.reshape(values.shape + text.shape[-1:]), shape + text.shape[-1:])
+        if values.shape != shape:  # an axis, float64 as GridTable holds it: formatted once, in blocks, into its text
+            text = np.empty(values.shape + (floatfmt.WIDTH,), np.uint8)
+            for block in numeric.blocks(values.shape, _CHUNK_ROWS):
+                text[block] = _cells(values[block], fmt)
+            axes[k] = np.broadcast_to(text, shape + text.shape[-1:])
     if fmt == "csv":
         head = ",".join(columns) + "\n"
         between = [""] + [","] * (len(columns) - 1) + ["\n"]  # before each cell, then after the row
@@ -637,7 +635,7 @@ def write_table(columns: list[str], rows: np.ndarray | GridTable, fmt: str = "cs
     between = [text.encode() for text in between]
     out = bytearray() if out is None else out
     out += head.encode("utf-8", "surrogatepass")
-    blocks = _blocks(shape, _CHUNK_ROWS)
+    blocks = numeric.blocks(shape, _CHUNK_ROWS)
     for b, block in enumerate(blocks):
         cells = {k: text[block] for k, text in axes.items()}
         if floats:  # one call for every float column: a call per column costs wide tables dearly

@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-_WIDTH = 24  # bytes of the longest float cell in either format, "-2.2250738585072014e-308"
+WIDTH = 24  # bytes of the longest float cell in either format, "-2.2250738585072014e-308"
 _SMALL = 256
 _MARGIN = 2.0**-32  # far above the core's error in units of y, far below the 1/2 of a rounding
 _E_LO, _E_HI = -293, 341  # 16 - k for every decimal exponent k of a finite double, one beyond each end
@@ -55,7 +55,7 @@ def _tables():
     digit = [1, 3, *range(4, 19)]  # d1-d17
     layouts = [[0, 20, 2] + [20] * (-k - 1) + digit for k in range(-4, 0)]
     layouts += [[0] + digit[:k + 1] + [2] + digit[k + 1:] for k in range(16)]
-    templates = np.array([row + [21] * (_WIDTH - len(row)) for row in layouts], np.intp)
+    templates = np.array([row + [21] * (WIDTH - len(row)) for row in layouts], np.intp)
     words = heads, digits4, digits3, exponents, keep
     return (2.0 * mant, np.ldexp(lo, 1 - ex), (b + ex - 1).astype(np.int32)), words, templates
 
@@ -205,20 +205,20 @@ def _render(x, shortest):
         for exponent in np.unique(k[positional]):  # a table holds a handful of exponents: one gather each is cheap
             rows = np.flatnonzero(positional & (k == exponent))
             out[rows] = np.take(out, rows, axis=0)[:, templates[exponent + 4]]
-    out[uncertain] = _exact(x[uncertain], repr if shortest else b"%.16e".__mod__).view(np.uint8).reshape(-1, _WIDTH)
-    return out.view(f"S{_WIDTH}")[:, 0]
+    out[uncertain] = _exact(x[uncertain], repr if shortest else b"%.16e".__mod__).view(np.uint8).reshape(-1, WIDTH)
+    return out.view(f"S{WIDTH}")[:, 0]
 
 
 def _exact(values, render):
     """Each of ``values`` rendered by ``render`` itself, as zero-padded cells."""
-    return np.fromiter(map(render, values.tolist()), f"S{_WIDTH}", count=values.size)
+    return np.fromiter(map(render, values.tolist()), f"S{WIDTH}", count=values.size)
 
 
 def e16(values: np.ndarray) -> np.ndarray:
     """``b"%.16e" % v`` for each finite float64 of ``values``, zero-padded to shape ``values.shape + (24,)``."""
     x = values.ravel()
     text = _exact(x, b"%.16e".__mod__) if x.size < _SMALL else _render(x, shortest=False)
-    return text.view(np.uint8).reshape(values.shape + (_WIDTH,))
+    return text.view(np.uint8).reshape(values.shape + (WIDTH,))
 
 
 def shortest(values: np.ndarray) -> np.ndarray:
@@ -230,4 +230,4 @@ def shortest(values: np.ndarray) -> np.ndarray:
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     x = bits.view(np.float64)
     text = _exact(x, repr) if x.size < _SMALL else _render(x, shortest=True)
-    return text[inverse].view(np.uint8).reshape(values.shape + (_WIDTH,))
+    return text[inverse].view(np.uint8).reshape(values.shape + (WIDTH,))

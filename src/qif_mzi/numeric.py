@@ -65,10 +65,11 @@ TAIL_BUDGET = 1e-10         # allowed tail mass outside a grid, and Simpson alia
 _BLOCK_BYTES = 1 << 17      # row block of the product-grid oracles: 128 KiB stays in a core's L2 cache
 
 
-def _row_blocks(n: int, itemsize: int) -> list[slice]:
-    """Row slices of an n-column plane of ``itemsize``-byte cells, about ``_BLOCK_BYTES`` each."""
-    step = max(1, _BLOCK_BYTES // (itemsize * n))
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+def blocks(shape: tuple[int, int], cells: int) -> list[tuple[slice, slice]]:
+    """Row-major blocks of at most ``cells`` cells tiling an (n, m) grid: whole rows, or slices of one if m > cells."""
+    width = min(shape[1], cells) or 1
+    height = cells // width
+    return [np.s_[i:i + height, j:j + width] for i in range(0, shape[0], height) for j in range(0, shape[1], width)]
 
 
 @lru_cache(maxsize=64)
@@ -222,13 +223,12 @@ def joint_marginal_oracle(
     free, k1, k2 = base(p), kicked1(p), kicked2(p)
     coeff = cmath.exp(1j * params.alpha) * math.cos(params.phi)
     n = grid.n
-    blocks = _row_blocks(n, 8)
-    density2d, block = np.empty((n, n)), np.empty((blocks[0].stop, n))
-    for rows in blocks:
-        re = density2d[rows]
-        im = block[: re.shape[0]]
-        np.multiply(free[rows, None], free, out=re)
-        np.multiply(k1[rows, None], k2, out=im)
+    density2d, block = np.empty((n, n)), np.empty(min(n * n, _BLOCK_BYTES // 8))
+    for rows, cols in blocks((n, n), _BLOCK_BYTES // 8):
+        re = density2d[rows, cols]
+        im = block[: re.size].reshape(re.shape)
+        np.multiply(free[rows, None], free[cols], out=re)
+        np.multiply(k1[rows, None], k2[cols], out=im)
         re += coeff.real * im
         im *= coeff.imag
         re *= re
@@ -340,13 +340,14 @@ def kernel_purity(coeff: np.ndarray, basis, grid: MomentumGrid | None = None) ->
     right = np.asarray(coeff) @ sampled
     root_w = np.sqrt(grid.simpson_weights())
     squares, diagonal = np.empty((grid.n, grid.n)), np.empty(grid.n, dtype=complex)
-    for rows in _row_blocks(grid.n, 16):
-        block = sampled.T[rows] @ right
+    for rows, cols in blocks((grid.n, grid.n), _BLOCK_BYTES // 16):
+        block = sampled.T[rows] @ right[:, cols]
         block *= root_w[rows, None]
-        block *= root_w[None, :]
-        diagonal[rows] = block.diagonal(rows.start)
-        np.square(block.real, out=squares[rows])
-        squares[rows] += np.square(block.imag)
+        block *= root_w[None, cols]
+        on_diagonal = block.diagonal(rows.start - cols.start)  # empty in a slice of a row that misses p = p'
+        diagonal[rows][: on_diagonal.size] = on_diagonal
+        np.square(block.real, out=squares[rows, cols])
+        squares[rows, cols] += np.square(block.imag)
     total = float(np.sum(diagonal).real)
     if total <= DARK_THRESHOLD:
         raise DarkPortError("kernel trace vanishes; purity undefined")

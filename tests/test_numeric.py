@@ -208,6 +208,29 @@ def test_both_oracles_hold_one_real_plane_at_the_joint_grid_bound(traced_peak):
     assert max(oracle, purity) <= 1.25 * 8 * n**2
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 50), st.integers(0, 50), st.integers(1, 64))
+def test_blocks_tile_the_grid_once_in_row_major_order(n, m, cells):
+    # the one block helper of the oracles, the sweep's evaluation and the table writer
+    order = np.arange(n * m).reshape(n, m)
+    pieces = [order[block] for block in numeric.blocks((n, m), cells)]
+    assert all(0 < piece.size <= cells for piece in pieces)
+    assert np.array_equal(np.concatenate([piece.ravel() for piece in pieces] + [order.ravel()[:0]]), order.ravel())
+    if m <= cells:
+        assert all(piece.shape[1] == m for piece in pieces)
+
+
+def test_oracles_are_unchanged_by_blocks_that_slice_a_row(monkeypatch):
+    # a row of more than _BLOCK_BYTES (n > 16,384 for the marginal, 8,192 for the purity) is cut into slices; the
+    # same cut at n = 97 must give the bits of whole-row blocks, the kernel's diagonal included
+    params, grid = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), default_grid(n=97)
+    branches, basis = analytic.reduced_state(params, 1)
+    oracle, purity = joint_marginal_oracle(params, 1, grid), kernel_purity(branches.coefficients(), basis, grid)
+    monkeypatch.setattr(numeric, "_BLOCK_BYTES", 16 * 40)  # 40 complex or 80 real cells: slices of one row
+    assert np.array_equal(joint_marginal_oracle(params, 1, grid).values, oracle.values)
+    assert kernel_purity(branches.coefficients(), basis, grid) == purity
+
+
 def test_oracle_rejects_narrow_grid():
     params = InterferometerParams(BALANCED_R, 0.75 * math.pi, 0.0, 3.0, 1.0)
     with pytest.raises(GridSpanError):
