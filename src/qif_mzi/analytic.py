@@ -148,7 +148,8 @@ class TwoBranchState(NamedTuple):
 
 def _matrix(m00, m01, m10, m11) -> np.ndarray:
     """2x2 matrices stacked on the last two axes."""
-    return np.stack([np.stack(np.broadcast_arrays(m00, m01), -1), np.stack(np.broadcast_arrays(m10, m11), -1)], -2)
+    parts = np.broadcast_arrays(m00, m01, m10, m11)
+    return np.stack(parts, -1).reshape(parts[0].shape + (2, 2))
 
 
 def _postselected(params: InterferometerParams) -> TwoBranchState:

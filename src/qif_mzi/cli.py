@@ -300,10 +300,10 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
                 raise ConfigError(f"key '{key}': {requirement}, got {value!r}", where(key))
     for lo_key, hi_key in (("delta_over_w_min", "delta_over_w_max"), ("phi_min", "phi_max")):
         lo, hi = getattr(config, lo_key), getattr(config, hi_key)
-        if lo is not None and hi is not None and not lo < hi:
-            raise ConfigError(
-                f"key '{hi_key}': range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})", where(hi_key)
-            )
+        if lo is not None and hi is not None and not (lo < hi and math.isfinite(hi - lo)):  # floats: inf, no warning
+            rule = (f"range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})" if not lo < hi
+                    else f"range width {hi_key} - {lo_key} must be finite (got {hi!r} - {lo!r})")
+            raise ConfigError(f"key '{hi_key}': {rule}", where(hi_key))
     if config.mode == "sweep" and config.delta_over_w_steps * config.phi_steps > MAX_SWEEP_ROWS:
         raise ConfigError(
             f"key 'phi_steps': delta_over_w_steps * phi_steps must be <= {MAX_SWEEP_ROWS} rows, "

@@ -214,20 +214,18 @@ def _exact(values, render):
     return np.fromiter(map(render, values.tolist()), f"S{WIDTH}", count=values.size)
 
 
-def e16(values: np.ndarray) -> np.ndarray:
-    """``b"%.16e" % v`` for each finite float64 of ``values``, zero-padded to shape ``values.shape + (24,)``."""
+def _format(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """The cells of ``repr`` (``shortest``) or ``%.16e``: by the array path from _SMALL values up, else directly."""
     x = values.ravel()
-    text = _exact(x, b"%.16e".__mod__) if x.size < _SMALL else _render(x, shortest=False)
+    text = _exact(x, repr if shortest else b"%.16e".__mod__) if x.size < _SMALL else _render(x, shortest)
     return text.view(np.uint8).reshape(values.shape + (WIDTH,))
 
 
+def e16(values: np.ndarray) -> np.ndarray:
+    """``b"%.16e" % v`` for each finite float64 of ``values``, zero-padded to shape ``values.shape + (24,)``."""
+    return _format(values, shortest=False)
+
+
 def shortest(values: np.ndarray) -> np.ndarray:
-    """``repr(v)``, json.dumps's text, for each float64 of ``values``, zero-padded to shape ``values.shape + (24,)``.
-    Each bit pattern is formatted once, -0.0 apart from 0.0, since values repeat within a table's planes: a block of
-    ``fig2a`` holds 3,383 distinct values in 6,003 and takes 0.47 ms so, against 0.52 ms without.  (The axes, which
-    repeat the most, reach here once per table.)  A block without repeats pays for the check: ``fig3``'s 8,004
-    distinct values take 0.73 ms against 0.63 ms, and ``fig4``'s 10,097 in 12,120 1.14 against 1.11 ms."""
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    x = bits.view(np.float64)
-    text = _exact(x, repr) if x.size < _SMALL else _render(x, shortest=True)
-    return text[inverse].view(np.uint8).reshape(values.shape + (WIDTH,))
+    """``repr(v)``, json.dumps's text, for each finite float64 of ``values``, zero-padded as :func:`e16` pads."""
+    return _format(values, shortest=True)

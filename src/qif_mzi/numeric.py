@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,19 +72,12 @@ def blocks(shape: tuple[int, int], cells: int) -> list[tuple[slice, slice]]:
     return [np.s_[i:i + height, j:j + width] for i in range(0, shape[0], height) for j in range(0, shape[1], width)]
 
 
-@lru_cache(maxsize=64)
-def _linspace(p_min: float, p_max: float, n: int) -> np.ndarray:
-    points = np.linspace(p_min, p_max, n)
-    points.flags.writeable = False  # shared by every equal grid
-    return points
-
-
 @dataclass(frozen=True)
 class MomentumGrid:
     """Uniform 1D momentum grid with an odd point count.
 
     Odd n enables composite Simpson weights; the ``points`` array is
-    read-only because it is shared between equal grids.
+    computed once per grid and is read-only, since every caller shares it.
     """
 
     p_min: float
@@ -92,8 +85,9 @@ class MomentumGrid:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.p_min) and np.isfinite(self.p_max) and self.p_min < self.p_max):
-            raise GridError(f"grid bounds must be finite with p_min < p_max, got {self.p_min!r}, {self.p_max!r}")
+        width = float(self.p_max) - float(self.p_min)  # Python floats: an overflow is inf, not a RuntimeWarning
+        if not (math.isfinite(width) and width > 0.0):  # a NaN or infinite bound makes the width NaN or infinite
+            raise GridError(f"grid bounds must be ordered and a finite width apart, got {self.p_min!r}, {self.p_max!r}")
         if self.n < 3 or self.n % 2 == 0:
             raise GridError(f"composite Simpson needs an odd point count >= 3, got {self.n!r}")
 
@@ -101,9 +95,11 @@ class MomentumGrid:
     def spacing(self) -> float:
         return (self.p_max - self.p_min) / (self.n - 1)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return _linspace(self.p_min, self.p_max, self.n)
+        points = np.linspace(self.p_min, self.p_max, self.n)
+        points.flags.writeable = False
+        return points
 
     def simpson_weights(self) -> np.ndarray:
         w = np.ones(self.n)

@@ -5,7 +5,7 @@ import pytest
 
 def _traced_peak(call, warm=False):
     """``call()``'s result and the peak of the memory traced while it ran, in bytes.  With ``warm`` it runs once
-    untraced first, so that what it caches on first use (a shared grid, floatfmt's tables) stays out of the peak."""
+    untraced first, so that what it caches on first use (a grid's points, floatfmt's tables) stays out of the peak."""
     if warm:
         call()
     tracemalloc.start()

@@ -741,18 +741,27 @@ def test_main_dark_port_is_structured_error(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["distributions", "--delta-over-w", "10", "--phi", "0.9pi", "--alpha", "0"],
-    ["distributions", "--delta-over-w", "1e300", "--phi", "0.9pi", "--alpha", "0"],
-], ids=["half-off-grid", "overflowing"])
-def test_main_report_grid_must_hold_every_branch(argv, tmp_path, capsys):
+_POINT = ["--delta-over-w", "0.3", "--phi", "1", "--alpha", "0"]
+_TRUNCATED, _WIDTH_OVERFLOW = "grid [-8, 8] truncates a branch", "grid bounds must be ordered and a finite width apart"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["distributions", "--delta-over-w", "10", "--phi", "0.9pi", "--alpha", "0"], _TRUNCATED),
+    (["distributions", "--delta-over-w", "1e300", "--phi", "0.9pi", "--alpha", "0"], _TRUNCATED),
+    # a span whose grid width overflows the double range
+    (["distributions", *_POINT, "--grid-span", "1e308"], _WIDTH_OVERFLOW),
+    (["decompose", *_POINT, "--grid-span", "1e308"], _WIDTH_OVERFLOW),
+    (["verify", "--grid-span", "1e308"], _WIDTH_OVERFLOW),
+], ids=["half-off-grid", "overflowing", "distributions-span-overflow", "decompose-span-overflow",
+        "verify-span-overflow"])
+def test_main_report_grid_must_hold_every_branch(argv, error, tmp_path, capsys):
     out = tmp_path / "truncated.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("qif-mzi: error: grid [-8, 8] truncates a branch")
+    assert captured.err.startswith(f"qif-mzi: error: {error}")
     assert captured.out == ""
     assert not out.exists()
 
@@ -814,6 +823,8 @@ _LIMIT_ERRORS = [
      "key 'draws_ports': must be <= 100000, got 100001"),
     ("sweep-rows-max", _SWEEP.replace("phi_steps = 5\n", ""), "phi_steps", "200001", 7,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 5 * 200001"),
+    ("phi-range-overflow", _SWEEP.replace("phi_min = 0\n", "phi_min = -1e308\n").replace("phi_max = 1\n", ""),
+     "phi_max", "1e308", 7, "key 'phi_max': range width phi_max - phi_min must be finite (got 1e+308 - -1e+308)"),
     ("sweep-steps-max", _SWEEP.replace("delta_over_w_steps = 5\n", ""), "delta_over_w_steps", "100000000000", 6,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
     ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,

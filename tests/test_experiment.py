@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -158,6 +159,14 @@ def test_bridge_to_model():
     assert params.alpha == setup.alpha
     assert math.cos(params.alpha) == math.cos(setup.alpha)
     assert params.width == 1.0
+
+
+def test_readme_library_example_runs():
+    # the README's Library section is the documented API: its python block must run as written
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
 
 
 def test_free_spread_identity_at_zero_time():
