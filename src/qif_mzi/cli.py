@@ -154,21 +154,20 @@ def _mode_keys(mode: str, *roles: str) -> list[str]:
 
 @dataclass
 class RunResult:
-    rows: np.ndarray | GridTable  # one typed field per column, see typed_table and GridTable
+    rows: GridTable
     summary: list[str] = field(default_factory=list)
     exit_code: int = 0
 
     @property
     def columns(self) -> list[str]:
-        return list(self.rows.dtype.names)
+        return list(self.rows.columns)
 
 
-def typed_table(columns: dict[str, object]) -> np.ndarray:
-    """One table from an ordered ``{column name: values}`` mapping.
+def typed_table(columns: dict[str, object]) -> GridTable:
+    """One table from an ordered ``{column name: values}`` mapping, as a :class:`GridTable` of one grid row.
 
-    The table is a numpy structured array whose fields are float64, int64 or str, as numpy infers
-    them from each column's values.  Columns of unequal length are refused: assignment would
-    broadcast a length-1 column silently, and so are strings holding NUL, the writers' padding byte.
+    Each column is float64, int64 or str, as numpy infers it from the values.  Columns of unequal length are refused,
+    since a length-1 column would broadcast silently, and so are strings holding NUL, the writers' padding byte.
     """
     arrays = {name: np.asarray(values) for name, values in columns.items()}
     shapes = [a.shape for a in arrays.values()]
@@ -177,34 +176,30 @@ def typed_table(columns: dict[str, object]) -> np.ndarray:
     for name, a in arrays.items():
         if a.dtype.kind == "U" and any("\0" in str(value) for value in columns[name]):
             raise ValueError(f"column {name!r} holds a string with a NUL character")
-    rows = np.empty(shapes[0], dtype=[(name, a.dtype) for name, a in arrays.items()])
-    for name, a in arrays.items():
-        rows[name] = a
-    return rows
+    return GridTable({name: a[None, :] for name, a in arrays.items()})
 
 
 @dataclass(frozen=True)
 class GridTable:
     """A table over the product of two axes, in row-major order (the first axis outer), without its repeated cells:
-    each float64 column keeps the shape it varies over, (n, 1) or (1, m) for an axis and (n, m) for a plane.
-    :func:`write_table` reads it as it reads a :func:`typed_table`: ``len``, ``dtype`` and a column by name."""
+    each column keeps the 2D shape it varies over, (n, 1) or (1, m) for a float64 axis, which the writer formats into
+    fixed 24-byte cells, and the table's ``shape`` (n, m) for a full column, float64, int64 or str."""
 
     columns: dict[str, np.ndarray]
+    shape: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
-        for name, values in self.columns.items():  # the writer formats an axis into fixed 24-byte float cells
-            if values.dtype != np.float64:
+        shape = np.broadcast_shapes(*(a.shape for a in self.columns.values()))  # refuses columns that do not broadcast
+        for name, values in self.columns.items():
+            if values.shape != shape and values.dtype != np.float64:
                 raise ValueError(f"grid table column {name!r} is {values.dtype}, not float64")
+        object.__setattr__(self, "shape", shape)
 
     def __len__(self) -> int:
-        return math.prod(np.broadcast_shapes(*(a.shape for a in self.columns.values())))
+        return math.prod(self.shape)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype([(name, a.dtype) for name, a in self.columns.items()])
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -414,10 +409,14 @@ def _run_sweep(config: RunConfig) -> RunResult:
     deltas = np.linspace(config.delta_over_w_min, config.delta_over_w_max, config.delta_over_w_steps)
     phis = np.linspace(config.phi_min, config.phi_max, config.phi_steps)
     shape = (deltas.size, phis.size)
-    surface = analytic.MeanSurface(np.empty(shape), np.empty(shape), np.empty(shape))
-    for rows, cols in numeric.blocks(shape, _SURFACE_CELLS):
-        for plane, part in zip(surface, analytic.mean_surface(deltas[rows, None], phis[None, cols], config.alpha)):
-            plane[rows, cols] = part
+    blocks = numeric.blocks(shape, _SURFACE_CELLS)
+    if len(blocks) == 1:  # that call's planes are the table's: preallocated copies would hold each plane twice
+        surface = analytic.mean_surface(deltas[:, None], phis[None, :], config.alpha)
+    else:
+        surface = analytic.MeanSurface(np.empty(shape), np.empty(shape), np.empty(shape))
+        for rows, cols in blocks:
+            for plane, part in zip(surface, analytic.mean_surface(deltas[rows, None], phis[None, cols], config.alpha)):
+                plane[rows, cols] = part
     rows = GridTable({  # row-major: delta outer, phi inner
         "delta_over_W": deltas[:, None],
         "phi_rad": phis[None, :],
@@ -594,10 +593,9 @@ def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
     return text.translate(None, b"\0")
 
 
-def write_table(columns: list[str], rows: np.ndarray | GridTable, fmt: str = "csv", out=None):
+def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None):
     """Append a table's CSV or JSON text, as UTF-8 bytes, to ``out`` (a new ``bytearray`` by default) with ``+=`` and
-    return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.  The table is a
-    :func:`typed_table`, read as one row of a grid, or a :class:`GridTable`.
+    return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.
 
     The head goes first, then blocks of at most ``_CHUNK_ROWS`` rows (whole grid rows, or a slice of one), each one
     uint8 matrix: a template row of the separators repeated, the block's zero-padded cells assigned into its slots (an
@@ -608,15 +606,14 @@ def write_table(columns: list[str], rows: np.ndarray | GridTable, fmt: str = "cs
     the rows as objects, ``[]`` for none.  Identical inputs give identical bytes.  Floats must be finite, since JSON
     cannot spell nan or inf, and all are checked before the first byte.
     """
-    if list(columns) != list(rows.dtype.names):
-        raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.dtype.names)}")
+    if list(columns) != list(rows.columns):
+        raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.columns)}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
-    grid = [np.atleast_2d(rows[name]) for name in columns]
+    grid, shape = [rows[name] for name in columns], rows.shape
     for name, values in zip(columns, grid):  # whole columns in order, before any byte: the error names the first bad
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
-    shape = np.broadcast_shapes(*(values.shape for values in grid))
     floats = [k for k, values in enumerate(grid) if values.shape == shape and values.dtype.kind == "f"]
     axes = {}
     for k, values in enumerate(grid):

@@ -89,7 +89,7 @@ class GaussianPacket:
         arr = np.asarray(p, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("momentum argument must be finite")
-        u = (arr - self.center) / self.width
+        u = np.minimum(np.abs(arr - self.center) / self.width, 64.0)  # exp(-u^2 / 2) is 0.0 long before u * u overflows
         amp = (math.pi ** -0.25 / math.sqrt(self.width)) * np.exp(-0.5 * u * u)
         return float(amp) if amp.ndim == 0 else amp
 

@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import shutil
 import sys
 import tempfile
 import warnings
@@ -179,7 +181,7 @@ def mixed_tables(draw):
 def test_template_writer_matches_reference_formatting(table):
     names, rows = table
     typed = typed_table({name: [row[k] for row in rows] for k, name in enumerate(names)})
-    assert [type(cell) for cell in typed.tolist()[0]] == [type(cell) for cell in rows[0]]
+    assert [type(typed[name].item(0)) for name in names] == [type(cell) for cell in rows[0]]
     _assert_bytes(write_table(names, typed, "csv"), _reference_csv(names, rows))
     _assert_bytes(write_table(names, typed, "json"), _reference_json(names, rows))
 
@@ -210,6 +212,22 @@ def test_grid_table_refuses_a_column_that_is_not_float64(axis):
     # the writer formats a grid table's axes into fixed-width float cells, which an int or str axis would not fit
     with pytest.raises(ValueError, match="column 'n' is .*, not float64"):
         cli.GridTable({"x": np.zeros((2, 1)), "n": axis[None, :], "z": np.zeros((2, 3))})
+
+
+def test_grid_table_refuses_columns_that_do_not_broadcast_when_built():
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.GridTable({"x": np.zeros((2, 1)), "z": np.zeros((3, 3))})
+
+
+@pytest.mark.parametrize("full", [np.arange(-3, 3).reshape(2, 3), np.array([["a", "b", "c"], ["d", "é", ","]])],
+                         ids=["int", "str"])
+def test_grid_table_writes_an_int_or_str_full_column_as_the_same_typed_table(full):
+    # only an axis must be float64: a full column is formatted cell by cell, as a typed_table's columns are
+    x = np.array([0.5, -1.0])
+    grid = cli.GridTable({"x": x[:, None], "n": full})
+    typed = typed_table({"x": np.repeat(x, 3), "n": full.ravel()})
+    for fmt in ("csv", "json"):
+        assert write_table(["x", "n"], grid, fmt) == write_table(["x", "n"], typed, fmt)
 
 
 def test_table_rejects_unequal_columns_and_mismatched_names():
@@ -456,15 +474,19 @@ def test_main_peak_allocation_on_the_501_sweep_stays_under_four_and_a_half_plane
     assert peak <= 4.5 * 8 * 501 * 501
 
 
-@pytest.mark.parametrize("steps", [(501, 501), (1000, 1000), (2, 500_000)], ids=["501", "1000", "thin"])
-def test_execute_peak_allocation_exceeds_its_table_by_at_most_4_mb(steps, traced_peak):
+@pytest.mark.parametrize("steps,beyond", [((501, 501), 4_000_000), ((1000, 1000), 4_000_000),
+                                          ((2, 500_000), 4_000_000), ((101, 101), 400_000)],
+                         ids=["501", "1000", "thin", "fig4"])
+def test_execute_peak_allocation_exceeds_its_table_by_at_most_4_mb(steps, beyond, traced_peak):
     # mean_surface runs on blocks of cli._SURFACE_CELLS grid points into the table's three planes: 1.9, 2.1 and 2.9 MB
-    # beyond the table, where one whole-grid call traced 4.4, 17.2 and 33.0 MB beyond it
+    # beyond the table, where one whole-grid call traced 4.4, 17.2 and 33.0 MB beyond it.  A grid of one block, such
+    # as fig4's, keeps that call's planes as the table: 0.31 MB beyond it, where copying them into planes of the grid
+    # traced 0.56 MB
     config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
     result, peak = traced_peak(lambda: execute(build_config(config)))
     held = sum(result.rows[name].nbytes for name in result.columns)
     assert held >= 3 * 8 * math.prod(steps)
-    assert peak <= held + 4_000_000
+    assert peak <= held + beyond
 
 
 @pytest.mark.parametrize("render,bound", [(floatfmt.e16, 10.5), (floatfmt.shortest, 11.25)], ids=["e16", "shortest"])
@@ -509,6 +531,11 @@ def _row_major(result):
     """A mode's table as rows of Python values, the first axis outer, whatever shape its columns are held at."""
     columns = np.broadcast_arrays(*(result.rows[name] for name in result.columns))
     return list(zip(*(values.ravel().tolist() for values in columns)))
+
+
+def _records(result):
+    """A mode's table as one ``{column name: value}`` dict a row, in row-major order."""
+    return [dict(zip(result.columns, row)) for row in _row_major(result)]
 
 
 _PINNED = [_sweep_config(d, cli._CHUNK_ROWS + k) for d in (2, 3) for k in (-1, 0, 1)]
@@ -578,8 +605,8 @@ def test_distributions_port_cc_is_the_kicked_packet():
          "port": "cc", "grid_points": "401"}
     )
     result = execute(config)
-    p = np.array([row[0] for row in result.rows])
-    dens1 = np.array([row[1] for row in result.rows])
+    p = result.rows["p_over_W"].ravel()
+    dens1 = result.rows["P1_times_W"].ravel()
     peak = p[np.argmax(dens1)]
     assert peak == pytest.approx(-0.3, abs=0.05)
 
@@ -590,9 +617,9 @@ def test_decompose_terms_sum_exactly():
     )
     result = execute(config)
     assert result.columns == ["p_over_W", "T_a_times_W", "T_b_times_W", "P1_unnormalized_times_W"]
-    for _, t_a, t_b, total in result.rows:
-        assert total == t_a + t_b
-        assert t_a >= 0.0
+    for row in _records(result):
+        assert row["P1_unnormalized_times_W"] == row["T_a_times_W"] + row["T_b_times_W"]
+        assert row["T_a_times_W"] >= 0.0
 
 
 def test_sweep_rows_and_dark_convention():
@@ -623,20 +650,20 @@ def test_ports_mode_table():
     config = build_config({"mode": "ports", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0"})
     result = execute(config)
     assert result.columns == ["port", "probability", "mean_p1_over_W", "mean_p2_over_W", "mean_defined"]
-    by_port = {row[0]: row for row in result.rows}
-    assert by_port["TOTAL"][1] == pytest.approx(1.0, abs=1e-12)
-    assert by_port["TOTAL"][2] == pytest.approx(-0.15, abs=1e-12)
-    assert by_port["DC"][2] == pytest.approx(0.35670404722052823, rel=1e-10)
-    assert by_port["DC"][2] == -by_port["DC"][3]
-    assert all(row[4] == 1 for row in result.rows)
+    by_port = {row["port"]: row for row in _records(result)}
+    assert by_port["TOTAL"]["probability"] == pytest.approx(1.0, abs=1e-12)
+    assert by_port["TOTAL"]["mean_p1_over_W"] == pytest.approx(-0.15, abs=1e-12)
+    assert by_port["DC"]["mean_p1_over_W"] == pytest.approx(0.35670404722052823, rel=1e-10)
+    assert by_port["DC"]["mean_p1_over_W"] == -by_port["DC"]["mean_p2_over_W"]
+    assert all(row["mean_defined"] == 1 for row in by_port.values())
 
 
 def test_ports_mode_marks_dark_ports_without_nan():
     config = build_config({"mode": "ports", "delta_over_w": "0.3", "phi": "0.9", "alpha": "0", "r": "0"})
     result = execute(config)
-    by_port = {row[0]: row for row in result.rows}
-    assert by_port["CC"][4] == 0 and by_port["CC"][2] == 0.0
-    assert by_port["CD"][4] == 1
+    by_port = {row["port"]: row for row in _records(result)}
+    assert by_port["CC"]["mean_defined"] == 0 and by_port["CC"]["mean_p1_over_W"] == 0.0
+    assert by_port["CD"]["mean_defined"] == 1
     text = write_table(result.columns, result.rows, "csv")
     assert b"nan" not in text.lower()
 
@@ -653,7 +680,7 @@ def test_design_mode_row_and_checks():
         }
     )
     result = execute(config)
-    row = dict(zip(result.columns, result.rows[0]))
+    (row,) = _records(result)
     assert row["delta_over_W"] == pytest.approx(0.2187691264976917, rel=1e-12)
     assert row["alpha_over_pi"] == pytest.approx(-6.963637575600754, rel=1e-12)
     assert row["tuned_multiple_2pi"] == 3
@@ -675,7 +702,7 @@ def test_verify_mode_small_battery():
     )
     result = execute(config)
     assert result.exit_code == 0
-    assert all(row[3] == 1 for row in result.rows)
+    assert all(row["passed"] == 1 for row in _records(result))
 
 
 def test_verify_grid_span_reaches_the_kernel_purity_grid(monkeypatch, capsys):
@@ -764,6 +791,17 @@ def test_main_report_grid_must_hold_every_branch(argv, error, tmp_path, capsys):
     assert captured.err.startswith(f"qif-mzi: error: {error}")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["distributions", "decompose"])
+def test_main_report_grid_too_wide_to_square_warns_nothing(mode, tmp_path, capsys):
+    # a 1e300 W grid is finite, but (p / W)^2 overflows on it: a packet's amplitude is 0.0 from |p / W| = 38.6 on, so
+    # the cells must be written without a RuntimeWarning, which the suite turns into an error
+    out = tmp_path / f"{mode}.csv"
+    assert main([mode, *_POINT, "--grid-span", "1e300", "--grid-points", "5", "--out", str(out)]) == 0
+    edges = [line.split(",")[1:] for line in out.read_text().splitlines()[1::4]]
+    assert edges == [["0.0000000000000000e+00"] * len(edges[0])] * 2
+    assert capsys.readouterr().err == ""
 
 
 def test_main_config_error_exit_code(capsys):
@@ -1195,3 +1233,29 @@ def test_bundled_presets_parse():
     for name in ("fig2a", "fig2b", "fig2c", "fig3", "fig4", "design", "verify"):
         config = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
         assert config.mode in ("distributions", "decompose", "sweep", "design", "verify")
+
+
+def _reproduce_figures(monkeypatch, repo):
+    """``scripts/reproduce_figures.py``'s ``run()`` with its ``REPO`` pointed at ``repo``."""
+    spec = importlib.util.spec_from_file_location("reproduce_figures", REPO / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "REPO", repo)
+    return script.run()
+
+
+def test_reproduce_figures_writes_one_csv_per_preset(monkeypatch, tmp_path, capsys):
+    shutil.copytree(REPO / "configs", tmp_path / "configs")
+    assert _reproduce_figures(monkeypatch, tmp_path) == 0
+    presets = sorted(path.stem for path in (tmp_path / "configs").glob("*.cfg"))
+    assert len(presets) == 7 and presets[-1] == "verify"
+    assert sorted(path.stem for path in (tmp_path / "out").iterdir()) == presets
+    assert [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("---")] == presets
+
+
+def test_reproduce_figures_returns_the_failing_run_code(monkeypatch, tmp_path, capsys):
+    shutil.copytree(REPO / "configs", tmp_path / "configs")
+    (tmp_path / "configs" / "broken.cfg").write_text("mode = ports\n")  # sorts first; lacks the working point
+    assert _reproduce_figures(monkeypatch, tmp_path) == 2
+    assert "missing required keys" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []  # the script stops at the first failing run
