@@ -183,16 +183,21 @@ def typed_table(columns: dict[str, object]) -> GridTable:
 class GridTable:
     """A table over the product of two axes, in row-major order (the first axis outer), without its repeated cells:
     each column keeps the 2D shape it varies over, (n, 1) or (1, m) for a float64 axis, which the writer formats into
-    fixed 24-byte cells, and the table's ``shape`` (n, m) for a full column, float64, int64 or str."""
+    fixed 24-byte cells, and the table's ``shape`` (n, m) for a full column, float64, a signed int or str: the kinds
+    the writer has cells for.  Any other column is refused when the table is built."""
 
     columns: dict[str, np.ndarray]
     shape: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
+        for name, values in self.columns.items():
+            if values.ndim != 2:
+                raise ValueError(f"grid table column {name!r} is {values.ndim}D, not 2D")
         shape = np.broadcast_shapes(*(a.shape for a in self.columns.values()))  # refuses columns that do not broadcast
         for name, values in self.columns.items():
-            if values.shape != shape and values.dtype != np.float64:
-                raise ValueError(f"grid table column {name!r} is {values.dtype}, not float64")
+            if values.dtype != np.float64 and not (values.shape == shape and values.dtype.kind in "iU"):
+                raise ValueError(f"grid table column {name!r} is {values.dtype}, not float64 "
+                                 "(nor a signed int or str that fills the grid)")
         object.__setattr__(self, "shape", shape)
 
     def __len__(self) -> int:
@@ -354,16 +359,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
     port = PortPair(config.port)
     grid, unresolved = _report_grid(config, params)
     p = grid.points
-    if port is PortPair.DC:
-        # the DC closed forms below never see r, so reachability comes from the port algebra
-        prob = analytic.port_probabilities(params)[PortPair.DC]
-        if prob <= DARK_THRESHOLD:
-            raise DarkPortError(f"post-selected probability vanishes (P(DC) = {prob:.3e}); density undefined")
-        dens1 = analytic.marginal_density(params, 1, p, normalized=True)
-        dens2 = analytic.marginal_density(params, 2, p, normalized=True)
-    else:
-        dens1 = analytic.port_marginal_density(params, port, 1, p)
-        dens2 = analytic.port_marginal_density(params, port, 2, p)
+    dens1, dens2 = (analytic.port_marginal_density(params, port, electron, p) for electron in (1, 2))
     rows = typed_table({"p_over_W": p, "P1_times_W": dens1, "P2_times_W": dens2})
     quad_mean = f"unresolved ({unresolved})" if unresolved else _fmt(grid.density_mean(dens1), "+.6")
     summary = [

@@ -214,6 +214,16 @@ def test_grid_table_refuses_a_column_that_is_not_float64(axis):
         cli.GridTable({"x": np.zeros((2, 1)), "n": axis[None, :], "z": np.zeros((2, 3))})
 
 
+@pytest.mark.parametrize("column", [np.zeros(3), np.zeros((2, 3), bool), np.zeros((2, 3), complex),
+                                    np.zeros((2, 3), np.uint64), np.zeros((2, 3), "S1"), np.zeros((2, 3), np.float32)],
+                         ids=["1d", "bool", "complex", "unsigned", "bytes", "float32"])
+def test_grid_table_refuses_a_column_the_writer_cannot_write(column):
+    # the writer's blocks need 2D columns, it has cells only for float64, signed int and str, and float32 values
+    # would be written with float64 digits that do not round-trip
+    with pytest.raises(ValueError, match="grid table column 'z' is "):
+        cli.GridTable({"x": np.zeros((2, 1)), "z": column})
+
+
 def test_grid_table_refuses_columns_that_do_not_broadcast_when_built():
     with pytest.raises(ValueError, match="broadcast"):
         cli.GridTable({"x": np.zeros((2, 1)), "z": np.zeros((3, 3))})
@@ -755,16 +765,20 @@ def test_main_positional_mode_overrides_file(tmp_path):
 
 
 def test_main_dark_port_is_structured_error(tmp_path, capsys):
-    # phases that cancel the DC pair, and the splitters r = 0 and r = 1 that never reach it
-    for dark in (["--delta-over-w", "0", "--phi", "pi"],
-                 ["--r", "0", "--delta-over-w", "0.3", "--phi", "0.75pi"],
-                 ["--r", "1", "--delta-over-w", "0.3", "--phi", "0.75pi"]):
+    # phases that cancel the DC pair, the splitters r = 0 and r = 1 that never reach it, and r = 0 at CC: every
+    # pair's density comes from the port algebra, so every dark pair reports its own probability the same way
+    for dark, port in ((["--delta-over-w", "0", "--phi", "pi"], "DC"),
+                       (["--r", "0", "--delta-over-w", "0.3", "--phi", "0.75pi"], "DC"),
+                       (["--r", "1", "--delta-over-w", "0.3", "--phi", "0.75pi"], "DC"),
+                       (["--r", "0", "--port", "cc", "--delta-over-w", "0.3", "--phi", "0.75pi"], "CC")):
         out = tmp_path / "dark.csv"
         code = main(["distributions", *dark, "--alpha", "0", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert "vanishes" in captured.err
         assert "nan" not in captured.err.lower()
+        assert captured.err == (f"qif-mzi: error: post-selected probability vanishes (P({port}) = 0.000e+00); "
+                                "density undefined\n")
         assert not out.exists()
 
 
@@ -1259,3 +1273,18 @@ def test_reproduce_figures_returns_the_failing_run_code(monkeypatch, tmp_path, c
     assert _reproduce_figures(monkeypatch, tmp_path) == 2
     assert "missing required keys" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []  # the script stops at the first failing run
+
+
+def test_compare_outputs_reports_only_a_run_that_differs(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("compare_outputs", REPO / "scripts" / "compare_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    runs = [("ports.csv", ["ports", "--delta-over-w", "0.3", "--phi", "1", "--alpha", "0"])]
+    assert script.compare(REPO, runs) == []
+    assert capsys.readouterr().out == ""
+    # a copy whose ports summary reads differently: the same table, a different stdout
+    shutil.copytree(REPO / "src" / "qif_mzi", tmp_path / "src" / "qif_mzi", ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = tmp_path / "src" / "qif_mzi" / "cli.py"
+    cli_py.write_text(cli_py.read_text().replace('f"ports mode: ', 'f"ports mode (changed): '))
+    assert script.compare(tmp_path, runs) == ["ports.csv"]
+    assert capsys.readouterr().out == "DIFFERS ports.csv: stdout\n"
