@@ -38,8 +38,11 @@ def battery() -> list[tuple[str, list[str]]]:
                "--phi-min", "0", "--phi-max", "2pi", "--phi-steps", "501", "--alpha", alpha, "--format", fmt])
              for alpha in ("0", "0.4") for fmt in ("csv", "json")]
     runs.append(("ports.csv", ["ports", *POINT]))
-    runs += [(f"distributions-{port}.csv", ["distributions", "--port", port, *POINT]) for port in ("cc", "cd", "dd")]
-    runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (3, 12345)]
+    runs += [(f"distributions-{port}.csv", ["distributions", "--port", port, *POINT])
+             for port in ("cc", "cd", "dc", "dd")]
+    runs.append(("decompose.csv", ["decompose", *POINT[2:]]))  # decompose has no r key: the balanced splitter
+    # seed 34 draws a marginal-suite point whose DC pair is dark although N >= 1e-3
+    runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (3, 34, 12345)]
     runs += [(f"dark-probe-{k}.csv", ["distributions", *probe, "--alpha", "0"]) for k, probe in enumerate(DARK_PROBES)]
     return runs
 

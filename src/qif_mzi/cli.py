@@ -17,6 +17,7 @@ import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -132,14 +133,21 @@ class RunConfig:
         """The working point in units of W: the CLI fixes W = 1, so the kick is delta_over_w itself."""
         return InterferometerParams(r=self.r, phi=self.phi, alpha=self.alpha, delta=self.delta_over_w)
 
-    def experiment_inputs(self) -> experiment.ExperimentInputs:
-        return experiment.ExperimentInputs(
+    @cached_property
+    def design(self) -> tuple[experiment.DerivedSetup, experiment.TuneResult]:
+        """The SI setup and its 2 pi tuning; ValueError names a quantity outside the double or int64 range."""
+        inputs = experiment.ExperimentInputs(
             separation=self.separation_m,
             length=self.length_m,
             speed=self.speed_m_per_s,
             waist_transverse=self.waist_transverse_m,
             waist_longitudinal=self.waist_longitudinal_m,
         )
+        setup = experiment.derive_setup(inputs)
+        tuned = experiment.tune_separation(inputs, self.tune_target_n)
+        if tuned.n_multiple > INT64_MAX:
+            raise ValueError(f"the tuned 2 pi multiple {tuned.n_multiple} exceeds the int64 range of the table")
+        return setup, tuned
 
 
 _KEYS = {f.name: f for f in fields(RunConfig)}
@@ -311,7 +319,7 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
         )
     if config.mode == "design":
         try:
-            _design(config)
+            config.design  # cached: the design mode reads it without deriving it again
         except ValueError as err:
             # the inputs clash only together: point at the last one given, a flag (no line) if flags set any
             given = [where(key) for key in (*_mode_keys("design", "required"), "tune_target_n") if key in raw]
@@ -468,18 +476,8 @@ def _run_ports(config: RunConfig) -> RunResult:
     return RunResult(rows, summary)
 
 
-def _design(config: RunConfig) -> tuple[experiment.DerivedSetup, experiment.TuneResult]:
-    """The SI setup and its 2 pi tuning; ValueError names a quantity outside the double or int64 range."""
-    inputs = config.experiment_inputs()
-    setup = experiment.derive_setup(inputs)
-    tuned = experiment.tune_separation(inputs, config.tune_target_n)
-    if tuned.n_multiple > INT64_MAX:
-        raise ValueError(f"the tuned 2 pi multiple {tuned.n_multiple} exceeds the int64 range of the table")
-    return setup, tuned
-
-
 def _run_design(config: RunConfig) -> RunResult:
-    setup, tuned = _design(config)
+    setup, tuned = config.design
     cells = [(key, getattr(config, key)) for key in _mode_keys("design", "required")] + [
         ("transit_time_s", setup.transit_time),
         ("force_N", setup.force),

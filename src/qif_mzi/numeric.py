@@ -254,17 +254,13 @@ class KickOracleResult(NamedTuple):
     momentum_norm: float     # Riemann integral of the transformed density dp
 
 
-def momentum_kick_oracle(
-    packet: GaussianPacket,
-    delta: float,
-    n_points: int = DEFAULT_KICK_POINTS,
-    halfspan: float | None = None,
-) -> KickOracleResult:
+def momentum_kick_oracle(packet: GaussianPacket, delta: float, n_points: int = DEFAULT_KICK_POINTS) -> KickOracleResult:
     """Apply the kick as a position-space phase and transform back numerically.
 
     The position wavefunction conjugate to the packet is multiplied by
     exp(-i delta x) (hbar = 1) and carried to momentum space by a DFT on the
-    conjugate grid pair; the resulting density is compared against the
+    conjugate grid pair, whose momentum band reaches 8 W + |delta| either side
+    of the packet centre; the resulting density is compared against the
     analytically displaced packet ``packet.shifted(-delta)``.  Moment metrics
     use plain Riemann sums, which are spectrally accurate here because the
     densities vanish at the band edges.
@@ -272,8 +268,7 @@ def momentum_kick_oracle(
     if n_points < 16:
         raise GridError(f"kick oracle needs at least 16 points, got {n_points!r}")
     width, center = packet.width, packet.center
-    if halfspan is None:
-        halfspan = 8.0 * width + abs(delta)
+    halfspan = 8.0 * width + abs(delta)
     dp = 2.0 * halfspan / n_points
     p = (center - halfspan) + dp * np.arange(n_points)
     dx = 2.0 * math.pi / (n_points * dp)

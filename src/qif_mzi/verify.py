@@ -49,11 +49,7 @@ def _draw_params(rng: np.random.Generator, draws: int, delta_max: float) -> np.n
 
 
 def check_marginal_oracle(
-    draws: int,
-    seed: int,
-    span: float = numeric.DEFAULT_SPAN,
-    points: int = numeric.DEFAULT_JOINT_POINTS,
-    tolerance: float = 1e-9,
+    draws: int, seed: int, span: float = numeric.DEFAULT_SPAN, points: int = numeric.DEFAULT_JOINT_POINTS
 ) -> CheckResult:
     """Two-particle marginalisation vs the closed-form densities.
 
@@ -73,7 +69,7 @@ def check_marginal_oracle(
         closed = analytic.marginal_density(params, electron, grid.points, normalized=True)
         deviations.append(np.max(np.abs(oracle.values - closed)))
     # np.max, not max: Python's max(0.0, nan) is 0.0, and a NaN deviation must fail the check
-    return CheckResult.from_deviation("marginal_oracle_vs_closed_form", np.max(deviations), tolerance, f"{draws} draws")
+    return CheckResult.from_deviation("marginal_oracle_vs_closed_form", np.max(deviations), 1e-9, f"{draws} draws")
 
 
 def check_momentum_kick(n_points: int = numeric.DEFAULT_KICK_POINTS) -> list[CheckResult]:

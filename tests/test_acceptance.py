@@ -80,7 +80,7 @@ def test_criterion_1_effective_attraction():
 
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
-    result = check_marginal_oracle(draws=100, seed=20240, tolerance=1e-9)
+    result = check_marginal_oracle(draws=100, seed=20240)
     elapsed = time.perf_counter() - start
     print(f"[acceptance]   100 draws, max pointwise deviation {result.max_deviation:.3e}")
     _criterion(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qif_mzi import (
     BALANCED_R,
+    DARK_THRESHOLD,
     DarkPortError,
     GaussianPacket,
     InterferometerParams,
@@ -449,6 +450,17 @@ def test_dc_port_marginal_equals_postselected_marginal():
     via_port = analytic.port_marginal_density(HEADLINE, PortPair.DC, 1, p)
     direct = analytic.marginal_density(HEADLINE, 1, p, normalized=True)
     assert np.max(np.abs(via_port - direct)) < 1e-12
+    # seeded draws at any splitter; as in verify, near-dark selections (N < 1e-3) are skipped, and so are dark DC pairs
+    p = np.linspace(-10.0, 10.0, 401)
+    for row in np.array([1.0, 2.0 * math.pi, 2.0 * math.pi, 3.0]) * np.random.default_rng(2024).random((1000, 4)):
+        params = InterferometerParams(*row.tolist(), width=1.0)
+        dark = analytic.port_probabilities(params)[PortPair.DC] <= DARK_THRESHOLD
+        if dark or analytic.postselect_norm(params) < 1e-3:
+            continue
+        for electron in (1, 2):
+            closed = analytic.marginal_density(params, electron, p, normalized=True)
+            via_port = analytic.port_marginal_density(params, PortPair.DC, electron, p)
+            assert np.max(np.abs(via_port - closed)) <= 1e-12 * np.max(closed)
 
 
 def test_cc_port_marginal_is_the_kicked_packet_at_balance():

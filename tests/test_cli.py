@@ -43,6 +43,7 @@ def test_parse_pi_suffix():
     assert config.alpha == -0.5 * math.pi
     bare = parse_config("mode=sweep\ndelta_over_w_min=0\ndelta_over_w_max=3\ndelta_over_w_steps=5\nphi_min=0\nphi_max=pi\nphi_steps=5\n")
     assert bare.phi_max == math.pi
+    assert parse_config("mode=ports\ndelta_over_w=0.3\nphi=-pi\nalpha=0\n").phi == -math.pi
 
 
 def test_parse_comments_and_spacing():
@@ -248,6 +249,8 @@ def test_table_rejects_unequal_columns_and_mismatched_names():
     for columns in (["a"], ["b", "a"], ["a", "c"], ["a", "b", "c"]):
         with pytest.raises(ValueError, match="do not match"):
             write_table(columns, table, "csv")
+    with pytest.raises(ValueError, match="unknown table format 'xml'"):
+        write_table(["a", "b"], table, "xml")
 
 
 @pytest.mark.parametrize("values", [["a\x00"], ["ok", "a\x00b"], ["\x00"]])
@@ -891,6 +894,9 @@ _LIMIT_ERRORS = [
      "design: the tuned 2 pi multiple 348181878780037714600009350161492869120 exceeds the int64 range of the table"),
     ("design-multiple-zero", _DESIGN.replace("separation_m = 2e-3\n", ""), "separation_m", "1", 6,
      "design: |alpha| = 0.0438 rad is nearest to 0 x 2 pi; request a positive multiple"),
+    ("design-separation-underflow", _DESIGN.replace("= 2e-3", "= 1e-140").replace("= 4e-2", "= 1e-309"),
+     "tune_target_n", "9223372036854775807", 7,
+     "design: the tuned separation for |alpha| = 9223372036854775807 x 2 pi is 0.0, not a positive double"),
 ]
 
 
@@ -1120,8 +1126,11 @@ _PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]
     (["--mode", "ports", *_PORTS[1:], "--phi", "1"], "unknown key '--mode'"),  # the positional is mode's spelling
     ([*_PORTS, "--phi", "1", "-x"], "unknown key '-x'"),
     ([*_PORTS, "--phi", "1", "--"], "unknown key '--'"),
+    ([*_PORTS, "--phi", "1e999"], "key 'phi': value '1e999' is not finite"),
+    (["distributions", *_PORTS[1:], "--phi", "1", "--grid-points", "3.5"],
+     "key 'grid_points': cannot parse integer from '3.5'"),
 ], ids=["unknown", "abbreviation", "repeated", "repeated-empty", "trailing", "joined-empty", "stray-positional",
-        "mode-flag", "short-flag", "double-dash"])
+        "mode-flag", "short-flag", "double-dash", "non-finite", "non-integer"])
 def test_main_malformed_command_line_is_a_config_error(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -1138,6 +1147,10 @@ def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"qif-mzi: config error: cannot read config file {str(binary)!r}")
     assert main(["--config", str(text), "--config", str(text)]) == 2
     assert capsys.readouterr().err == "qif-mzi: config error: option '--config' is given twice\n"
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("mode = ports\nphi\n")
+    assert main(["--config", str(bare)]) == 2
+    assert capsys.readouterr().err == "qif-mzi: config error: line 2: expected 'key = value', got 'phi'\n"
 
 
 _FLAGS = {"--" + key.replace("_", "-") for key in cli._KEYS if key != "mode"}

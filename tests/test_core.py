@@ -68,6 +68,8 @@ def test_packet_rejects_bad_width_and_nonfinite():
         GaussianPacket(-1.0)
     with pytest.raises(ValueError):
         GaussianPacket(math.nan)
+    with pytest.raises(ValueError, match="center must be finite"):
+        GaussianPacket(1.0, math.inf)
     packet = GaussianPacket(1.0)
     with pytest.raises(ValueError):
         packet(math.inf)

@@ -105,6 +105,12 @@ def test_distribution_validation():
         Distribution1D(grid, np.ones(5), normalized=True)  # integrates to 2
     dist = Distribution1D(grid, np.ones(5) * 0.5, normalized=True)
     assert dist.mean() == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(GridError, match="expected 5 samples, got shape"):
+        Distribution1D(grid, np.ones(4))
+    with pytest.raises(GridError, match="expected 5 samples, got shape"):
+        grid.integrate(np.ones(4))
+    with pytest.raises(DarkPortError, match="mean undefined"):
+        grid.density_mean(np.zeros(5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -266,6 +272,14 @@ def test_oracle_dark_port_raises():
     dark = InterferometerParams(BALANCED_R, math.pi, 0.0, 0.0, 1.0)
     with pytest.raises(DarkPortError):
         joint_marginal_oracle(dark, 1)
+    branches, basis = analytic.reduced_state(HEADLINE, 1)
+    with pytest.raises(DarkPortError, match="kernel trace vanishes"):
+        kernel_purity(np.zeros_like(branches.coefficients()), basis)
+
+
+def test_oracle_refuses_an_electron_other_than_1_or_2():
+    with pytest.raises(ValueError, match="electron index must be 1 or 2, got 3"):
+        joint_marginal_oracle(HEADLINE, 3, MomentumGrid(-8.0, 8.0, 129))
 
 
 def test_port_norm_oracle_matches_closed_probability():
@@ -319,11 +333,14 @@ def test_kick_oracle_aliasing_guard():
     # pushes it past the pi/2 guard for any point count
     with pytest.raises(AliasingError):
         momentum_kick_oracle(GaussianPacket(1.0), 10.0)
+    with pytest.raises(GridError, match="at least 16 points, got 8"):
+        momentum_kick_oracle(GaussianPacket(1.0), 0.3, 8)
 
 
 def test_kick_oracle_band_guard():
+    # the band is 8 W + |delta| either side of the centre; at a centre of 1e20 W rounding collapses it
     with pytest.raises(GridSpanError):
-        momentum_kick_oracle(GaussianPacket(1.0), 0.0, halfspan=4.0)
+        momentum_kick_oracle(GaussianPacket(1.0, 1e20), 0.3)
 
 
 # ---------------------------------------------------------------------------
