@@ -37,6 +37,8 @@ def battery() -> list[tuple[str, list[str]]]:
               ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "3", "--delta-over-w-steps", "501",
                "--phi-min", "0", "--phi-max", "2pi", "--phi-steps", "501", "--alpha", alpha, "--format", fmt])
              for alpha in ("0", "0.4") for fmt in ("csv", "json")]
+    # an explicit 2 pi multiple, where the preset lets the tuning pick the nearest one
+    runs.append(("design-tune-5.csv", ["--config", str(REPO / "configs" / "design.cfg"), "--tune-target-n", "5"]))
     runs.append(("ports.csv", ["ports", *POINT]))
     runs += [(f"distributions-{port}.csv", ["distributions", "--port", port, *POINT])
              for port in ("cc", "cd", "dc", "dd")]

@@ -40,18 +40,14 @@ __all__ = ["RunConfig", "RunResult", "typed_table", "GridTable", "parse_config",
 MODES = ("distributions", "decompose", "sweep", "ports", "design", "verify")
 
 _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alpha) working point
-_GRID_MODES = ("distributions", "decompose", "verify")  # modes that sample 1D momentum grids
+_GRID_MODES = ("distributions", "decompose")  # modes that emit a table over a 1D momentum grid
 
-# Allocation bounds, so that no configuration can ask for more memory than a run is sized for:
-# a 1D grid of 2^20 + 1 points, a joint grid of 2049^2 points (one real float64 plane per oracle,
-# a traced peak of about 33.9 MB per call), a DFT of 2^20 points, and a sweep of 10^6 rows (four
-# times the 501 x 501 sweep; a fresh process peaks at about 56 MiB as CSV and 58 MiB as JSON at
-# 1000 x 1000, and at 71 and 74 MiB at 2 x 500,000, where the writer holds the phi axis's 12 MB of text once).
+# Allocation bounds, so that no configuration can ask for more memory than a run is sized for: a report grid of
+# 2^20 + 1 points and a sweep of 10^6 rows (four times the 501 x 501 sweep; a fresh process peaks at about 56 MiB as
+# CSV and 58 MiB as JSON at 1000 x 1000, and at 71 and 74 MiB at 2 x 500,000, where the writer holds the phi axis's
+# 12 MB of text once).  verify runs at the fixed sizes of verify.run_all, so it has no size keys to bound.
 MAX_GRID_POINTS = 2**20 + 1
-MAX_JOINT_GRID_POINTS = 2049
-MAX_KICK_POINTS = 2**20
 MAX_SWEEP_ROWS = 10**6
-MAX_PORT_DRAWS = 10**5  # the port-sum suite holds every draw's 2x2 exit matrices at once
 INT64_MAX = 2**63 - 1  # integer table cells are int64
 
 # Range checks: (predicate, requirement); a failing value reports "<requirement>, got <value>".
@@ -59,7 +55,6 @@ _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
 _ODD_GRID = (lambda n: n >= 3 and n % 2 == 1, "must be odd and >= 3")
 _SWEEP_STEPS = (lambda n: n >= 2, "sweep needs at least 2 steps")
-_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
 
 
 def _at_most(limit: int):
@@ -100,12 +95,6 @@ class RunConfig:
                             checks=(_POSITIVE,))
     grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd",
                             optional=_GRID_MODES, checks=(_ODD_GRID, _at_most(MAX_GRID_POINTS)))
-    joint_grid_points: int = _key(numeric.DEFAULT_JOINT_POINTS,
-                                  "two-particle oracle grid points per axis, odd",
-                                  optional=("verify",), checks=(_ODD_GRID, _at_most(MAX_JOINT_GRID_POINTS)))
-    kick_points: int = _key(numeric.DEFAULT_KICK_POINTS, "DFT size of the kick oracle",
-                            optional=("verify",),
-                            checks=((lambda n: n >= 16, "must be >= 16"), _at_most(MAX_KICK_POINTS)))
     delta_over_w_min: float | None = _key(None, "sweep start of delta/W", required=("sweep",), checks=(_NON_NEGATIVE,))
     delta_over_w_max: float | None = _key(None, "sweep end of delta/W", required=("sweep",))
     delta_over_w_steps: int | None = _key(None, "sweep points along delta/W (>= 2)", required=("sweep",),
@@ -124,10 +113,6 @@ class RunConfig:
                                      optional=("design",),
                                      checks=((lambda n: n >= 1, "must be a positive integer"), _at_most(INT64_MAX)))
     seed: int = _key(12345, "random seed for the verification draws", optional=("verify",), checks=(_NON_NEGATIVE,))
-    draws_marginal: int = _key(100, "parameter draws for the marginal-oracle suite", optional=("verify",),
-                               checks=(_AT_LEAST_ONE,))
-    draws_ports: int = _key(1000, "parameter draws for the port-sum suites", optional=("verify",),
-                            checks=(_AT_LEAST_ONE, _at_most(MAX_PORT_DRAWS)))
 
     def model_params(self) -> InterferometerParams:
         """The working point in units of W: the CLI fixes W = 1, so the kick is delta_over_w itself."""
@@ -144,7 +129,7 @@ class RunConfig:
             waist_longitudinal=self.waist_longitudinal_m,
         )
         setup = experiment.derive_setup(inputs)
-        tuned = experiment.tune_separation(inputs, self.tune_target_n)
+        tuned = experiment.tune_separation(setup, self.tune_target_n)
         if tuned.n_multiple > INT64_MAX:
             raise ValueError(f"the tuned 2 pi multiple {tuned.n_multiple} exceeds the int64 range of the table")
         return setup, tuned
@@ -312,6 +297,10 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
             rule = (f"range must be ordered: {lo_key} < {hi_key} (got {lo!r} >= {hi!r})" if not lo < hi
                     else f"range width {hi_key} - {lo_key} must be finite (got {hi!r} - {lo!r})")
             raise ConfigError(f"key '{hi_key}': {rule}", where(hi_key))
+    if config.mode in ("distributions", "ports") and not math.isfinite(abs(config.alpha) + abs(config.phi)):
+        # the exit-port algebra takes cos and sin of alpha +- phi: an overflowed sum would make every port NaN
+        raise ConfigError(f"key 'alpha': |alpha| + |phi| must be finite (got {config.alpha!r} and {config.phi!r})",
+                          where("alpha"))
     if config.mode == "sweep" and config.delta_over_w_steps * config.phi_steps > MAX_SWEEP_ROWS:
         raise ConfigError(
             f"key 'phi_steps': delta_over_w_steps * phi_steps must be <= {MAX_SWEEP_ROWS} rows, "
@@ -518,15 +507,7 @@ def _run_design(config: RunConfig) -> RunResult:
 
 
 def _run_verify(config: RunConfig) -> RunResult:
-    checks = verify.run_all(
-        seed=config.seed,
-        draws_marginal=config.draws_marginal,
-        draws_ports=config.draws_ports,
-        span=config.grid_span,
-        grid_points=config.grid_points,
-        joint_points=config.joint_grid_points,
-        kick_points=config.kick_points,
-    )
+    checks = verify.run_all(config.seed)
     rows = typed_table({"check": [c.name for c in checks], "max_deviation": [c.max_deviation for c in checks],
                         "tolerance": [c.tolerance for c in checks], "passed": [int(c.passed) for c in checks]})
     summary = ["verify mode: closed forms against independent oracles"]

@@ -191,24 +191,22 @@ class TuneResult(NamedTuple):
     setup: DerivedSetup
 
 
-def separation_for_alpha(inputs: ExperimentInputs, alpha_magnitude: float) -> float:
-    """Separation at which |alpha| equals the requested magnitude.
+def separation_for_alpha(setup: DerivedSetup, alpha_magnitude: float) -> float:
+    """Separation at which |alpha| equals the requested magnitude, from a setup derived at the input separation.
 
     t = L/v does not depend on d, so |alpha| scales as 1/d and inverts
     exactly: d_new = d |alpha(d)| / target.
     """
     if not alpha_magnitude > 0.0:
         raise ValueError(f"target |alpha| must be positive, got {alpha_magnitude!r}")
-    setup = derive_setup(inputs)
-    return inputs.separation * abs(setup.alpha) / alpha_magnitude
+    return setup.inputs.separation * abs(setup.alpha) / alpha_magnitude
 
 
-def tune_separation(inputs: ExperimentInputs, n: int | None = None) -> TuneResult:
-    """Adjust d so that |alpha| is an exact multiple of 2 pi (e^{i alpha} = 1).
+def tune_separation(setup: DerivedSetup, n: int | None = None) -> TuneResult:
+    """Adjust d so that |alpha| is an exact multiple of 2 pi (e^{i alpha} = 1), from a setup derived at the input d.
 
     With ``n`` omitted, the multiple nearest to |alpha(d)| / 2 pi is used.
     """
-    setup = derive_setup(inputs)
     magnitude = abs(setup.alpha)
     if n is None:
         n = round(magnitude / (2.0 * math.pi))
@@ -216,11 +214,11 @@ def tune_separation(inputs: ExperimentInputs, n: int | None = None) -> TuneResul
             raise ValueError(f"|alpha| = {magnitude:.3g} rad is nearest to 0 x 2 pi; request a positive multiple")
     elif n < 1:
         raise ValueError(f"target multiple must be a positive integer, got {n!r}")
-    separation = separation_for_alpha(inputs, 2.0 * math.pi * n)
+    separation = separation_for_alpha(setup, 2.0 * math.pi * n)
     if not (math.isfinite(separation) and separation > 0.0):
         raise ValueError(f"the tuned separation for |alpha| = {n} x 2 pi is {separation!r}, not a positive double")
     try:
-        tuned = derive_setup(replace(inputs, separation=separation))
+        tuned = derive_setup(replace(setup.inputs, separation=separation))
     except ValueError as err:
         raise ValueError(f"at the tuned separation {separation:g} m, {err}") from None
     return TuneResult(separation, int(n), tuned)

@@ -48,16 +48,14 @@ def _draw_params(rng: np.random.Generator, draws: int, delta_max: float) -> np.n
     return np.array([1.0, 2.0 * math.pi, 2.0 * math.pi, delta_max]) * rng.random((draws, 4))
 
 
-def check_marginal_oracle(
-    draws: int, seed: int, span: float = numeric.DEFAULT_SPAN, points: int = numeric.DEFAULT_JOINT_POINTS
-) -> CheckResult:
-    """Two-particle marginalisation vs the closed-form densities.
+def check_marginal_oracle(draws: int, seed: int) -> CheckResult:
+    """Two-particle marginalisation vs the closed-form densities, every draw on one default joint grid.
 
     Draws exclude dark and near-dark selections (norm < 1e-3), where the
     normalised comparison is ill-conditioned rather than wrong.
     """
     rng = np.random.default_rng(seed)
-    grid = numeric.default_grid(1.0, span, points)
+    grid = numeric.default_grid(1.0, n=numeric.DEFAULT_JOINT_POINTS)
     deviations = []
     for _ in range(draws):
         while True:
@@ -115,14 +113,14 @@ def check_port_sums(draws: int, seed: int) -> list[CheckResult]:
     ]
 
 
-def check_mean_conventions(span: float, points: int) -> CheckResult:
-    """Quadrature mean of the marginal vs the closed form, at the headline point.
+def check_mean_conventions() -> CheckResult:
+    """Quadrature mean of the marginal vs the closed form, at the headline point, on the default 1D grid.
 
     The detail line reports both overlap conventions and their difference;
     the quadrature tracks the squared-overlap (branch) form.
     """
     params = HEADLINE_PARAMS
-    grid = numeric.default_grid(params.width, span, points)
+    grid = numeric.default_grid(params.width)
     grid.require_resolved((params.packet(), params.kicked_packet(1)))
     density = analytic.marginal_density(params, 1, grid.points, normalized=True)
     quad_mean = grid.density_mean(density)
@@ -135,11 +133,11 @@ def check_mean_conventions(span: float, points: int) -> CheckResult:
     return CheckResult.from_deviation("postselected_mean_quadrature", abs(quad_mean - closed), 1e-9, detail)
 
 
-def check_purity_routes(span: float, points: int) -> CheckResult:
-    """Gram-algebra purity vs the trace of rho^2 from the grid-sampled kernel."""
+def check_purity_routes() -> CheckResult:
+    """Gram-algebra purity vs the trace of rho^2 from the kernel sampled on the default joint grid."""
     branches, basis = analytic.reduced_state(HEADLINE_PARAMS, 1)
     gram_route = float(branches.purity())
-    grid = numeric.default_grid(HEADLINE_PARAMS.width, span, points)
+    grid = numeric.default_grid(HEADLINE_PARAMS.width, n=numeric.DEFAULT_JOINT_POINTS)
     kernel_route = numeric.kernel_purity(branches.coefficients(), basis, grid)
     return CheckResult.from_deviation(
         "reduced_purity_two_routes",
@@ -149,12 +147,12 @@ def check_purity_routes(span: float, points: int) -> CheckResult:
     )
 
 
-def run_all(*, seed: int, draws_marginal: int, draws_ports: int, span: float, grid_points: int, joint_points: int,
-            kick_points: int) -> list[CheckResult]:
-    """The full verification battery, in a fixed order; ``cli.RunConfig`` holds the defaults of the arguments."""
-    results = [check_marginal_oracle(draws_marginal, seed, span, joint_points)]
-    results.extend(check_momentum_kick(kick_points))
-    results.extend(check_port_sums(draws_ports, seed + 1))
-    results.append(check_mean_conventions(span, grid_points))
-    results.append(check_purity_routes(span, joint_points))
+def run_all(seed: int) -> list[CheckResult]:
+    """The full verification battery, in a fixed order, at fixed resolutions: the default grids of
+    :mod:`.numeric`, 100 marginal draws and 1000 port draws."""
+    results = [check_marginal_oracle(100, seed)]
+    results.extend(check_momentum_kick())
+    results.extend(check_port_sums(1000, seed + 1))
+    results.append(check_mean_conventions())
+    results.append(check_purity_routes())
     return results

@@ -139,7 +139,7 @@ def test_criterion_5_momentum_kick_oracle():
 def test_criterion_6_experiment_design_numbers():
     start = time.perf_counter()
     setup = derive_setup(BASELINE_INPUTS)
-    tuned = tune_separation(BASELINE_INPUTS, 3)
+    tuned = tune_separation(setup, 3)
     elapsed = time.perf_counter() - start
     print(
         f"[acceptance]   delta/W {setup.delta_over_width:.4f}, |alpha| {abs(setup.alpha) / math.pi:.4f} pi, "

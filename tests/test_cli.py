@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import shutil
 import sys
 import tempfile
@@ -707,30 +708,12 @@ def test_verify_mode_small_battery():
     config = build_config(
         {
             "mode": "verify",
-            "draws_marginal": "3",
-            "draws_ports": "25",
-            "joint_grid_points": "257",
             "seed": "7",
         }
     )
     result = execute(config)
     assert result.exit_code == 0
     assert all(row["passed"] == 1 for row in _records(result))
-
-
-def test_verify_grid_span_reaches_the_kernel_purity_grid(monkeypatch, capsys):
-    seen = []
-    kernel_purity = numeric.kernel_purity
-
-    def recording(coeff, basis, grid=None):
-        seen.append(grid)
-        return kernel_purity(coeff, basis, grid)
-
-    monkeypatch.setattr(numeric, "kernel_purity", recording)
-    assert main(["verify", "--draws-marginal", "1", "--draws-ports", "5", "--joint-grid-points", "129",
-                 "--grid-span", "12"]) == 0
-    assert [(grid.p_min, grid.p_max, grid.n) for grid in seen] == [(-12.0, 12.0, 129)]
-    assert "PASS reduced_purity_two_routes" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +778,7 @@ _TRUNCATED, _WIDTH_OVERFLOW = "grid [-8, 8] truncates a branch", "grid bounds mu
     # a span whose grid width overflows the double range
     (["distributions", *_POINT, "--grid-span", "1e308"], _WIDTH_OVERFLOW),
     (["decompose", *_POINT, "--grid-span", "1e308"], _WIDTH_OVERFLOW),
-    (["verify", "--grid-span", "1e308"], _WIDTH_OVERFLOW),
-], ids=["half-off-grid", "overflowing", "distributions-span-overflow", "decompose-span-overflow",
-        "verify-span-overflow"])
+], ids=["half-off-grid", "overflowing", "distributions-span-overflow", "decompose-span-overflow"])
 def test_main_report_grid_must_hold_every_branch(argv, error, tmp_path, capsys):
     out = tmp_path / "truncated.csv"
     with warnings.catch_warnings():
@@ -841,8 +822,6 @@ _RANGE_ERRORS = [
     (FIG2C_TEXT, "port", "xx", 5, "key 'port': expected one of cc, cd, dc, dd, got 'xx'"),
     (FIG2C_TEXT, "grid_span", "-2", 5, "key 'grid_span': must be positive, got -2.0"),
     (FIG2C_TEXT, "grid_points", "100", 5, "key 'grid_points': must be odd and >= 3, got 100"),
-    ("mode = verify\n", "joint_grid_points", "1", 2, "key 'joint_grid_points': must be odd and >= 3, got 1"),
-    ("mode = verify\n", "kick_points", "15", 2, "key 'kick_points': must be >= 16, got 15"),
     (_SWEEP.replace("delta_over_w_min = 0\n", ""), "delta_over_w_min", "-1", 7,
      "key 'delta_over_w_min': must be >= 0, got -1.0"),
     (_SWEEP.replace("delta_over_w_max = 3\n", ""), "delta_over_w_max", "0", 7,
@@ -862,24 +841,21 @@ _RANGE_ERRORS = [
      "key 'waist_longitudinal_m': must be positive, got -2e-07"),
     (_DESIGN, "tune_target_n", "0", 7, "key 'tune_target_n': must be a positive integer, got 0"),
     ("mode = verify\n", "seed", "-1", 2, "key 'seed': must be >= 0, got -1"),
-    ("mode = verify\n", "draws_marginal", "0", 2, "key 'draws_marginal': must be >= 1, got 0"),
-    ("mode = verify\n", "draws_ports", "-5", 2, "key 'draws_ports': must be >= 1, got -5"),
 ]
 
 
 # upper bounds on allocation sizes, and values that overflow: (id, document, key, value, line, message)
 _LIMIT_ERRORS = [
     ("grid_points-max", FIG2C_TEXT, "grid_points", "1048579", 5, "key 'grid_points': must be <= 1048577, got 1048579"),
-    ("joint_grid_points-max", "mode = verify\n", "joint_grid_points", "2051", 2,
-     "key 'joint_grid_points': must be <= 2049, got 2051"),
-    ("kick_points-max", "mode = verify\n", "kick_points", "1048577", 2,
-     "key 'kick_points': must be <= 1048576, got 1048577"),
-    ("draws_ports-max", "mode = verify\n", "draws_ports", "100001", 2,
-     "key 'draws_ports': must be <= 100000, got 100001"),
     ("sweep-rows-max", _SWEEP.replace("phi_steps = 5\n", ""), "phi_steps", "200001", 7,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 5 * 200001"),
     ("phi-range-overflow", _SWEEP.replace("phi_min = 0\n", "phi_min = -1e308\n").replace("phi_max = 1\n", ""),
      "phi_max", "1e308", 7, "key 'phi_max': range width phi_max - phi_min must be finite (got 1e+308 - -1e+308)"),
+    # phases whose sum or difference overflows, in the two modes that take cos and sin of alpha +- phi
+    ("ports-phase-overflow", "mode = ports\ndelta_over_w = 0.3\nphi = 1e308\n", "alpha", "1e308", 4,
+     "key 'alpha': |alpha| + |phi| must be finite (got 1e+308 and 1e+308)"),
+    ("distributions-phase-overflow", "mode = distributions\nport = cc\ndelta_over_w = 0.3\nphi = 1e308\n", "alpha",
+     "-1e308", 5, "key 'alpha': |alpha| + |phi| must be finite (got -1e+308 and 1e+308)"),
     ("sweep-steps-max", _SWEEP.replace("delta_over_w_steps = 5\n", ""), "delta_over_w_steps", "100000000000", 6,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
     ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,
@@ -1005,17 +981,27 @@ def test_main_coarse_report_grid_states_the_mean_unresolved(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 12
 
 
-@pytest.mark.parametrize("flags", [
-    ["--joint-grid-points", "3"],
-    ["--joint-grid-points", "9"],
-    ["--grid-points", "9", "--draws-marginal", "2", "--draws-ports", "5"],
-])
-def test_main_verify_refuses_unresolved_oracle_grids(flags, tmp_path, capsys):
-    out = tmp_path / "verify.csv"
-    assert main(["verify", *flags, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("qif-mzi: error: spacing h = ") and "alias bound" in captured.err
-    assert captured.out == "" and not out.exists()
+# verify runs at the fixed resolutions of verify.run_all: no key sets its grids or draw counts
+_VERIFY_SIZE_KEYS = [
+    ("joint_grid_points", "2049", True),
+    ("kick_points", "4096", True),
+    ("draws_marginal", "100", True),
+    ("draws_ports", "1000", True),
+    ("grid_span", "1e308", False),
+    ("grid_points", "2001", False),
+]
+
+
+@pytest.mark.parametrize("key, value, unknown", _VERIFY_SIZE_KEYS, ids=[case[0] for case in _VERIFY_SIZE_KEYS])
+def test_main_verify_has_no_resolution_keys(key, value, unknown, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    config_file = tmp_path / "verify.cfg"
+    config_file.write_text(f"mode = verify\n{key} = {value}\n")
+    for argv, line, spelling in ((["--config", str(config_file)], "line 2: ", key), (["verify", flag, value], "", flag)):
+        assert main(argv + ["--out", str(tmp_path / "verify.csv")]) == 2
+        message = f"unknown key '{spelling}'" if unknown else f"key '{key}' is not valid in mode 'verify'"
+        assert capsys.readouterr() == ("", f"qif-mzi: config error: {line}{message}\n")
+        assert not (tmp_path / "verify.csv").exists()
 
 
 _DESIGN_KEYS = ("separation-m", "length-m", "speed-m-per-s", "waist-transverse-m", "waist-longitudinal-m")
@@ -1046,6 +1032,33 @@ def test_main_design_emits_finite_tables_or_config_errors(exponents, target):
         assert code == 0 and stderr.getvalue() == ""
         (row,) = json.loads(out.read_text())
     assert all(math.isfinite(value) for value in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ports", "distributions --port cc", "distributions --port cd", "distributions --port dc",
+                     "distributions --port dd"]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 5.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example("ports", 0.5, 0.3, 1e308, 1e308)
+@example("distributions --port cc", 0.5, 0.3, 1e308, 1e308)
+def test_main_port_modes_print_no_nan_at_any_finite_phase(mode, r, delta_over_w, phi, alpha):
+    # a phase sum alpha + phi that overflowed made every exit pair NaN with exit 0
+    argv = [*mode.split(), "--r", repr(r), "--delta-over-w", repr(delta_over_w), "--phi", repr(phi),
+            "--alpha", repr(alpha)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        assert stderr.getvalue() == ""
+        assert not re.search(r"\b(nan|inf)\b", stdout.getvalue().lower())
+    else:
+        assert code in (1, 2)
+        assert stderr.getvalue().startswith("qif-mzi: ") and stderr.getvalue().count("\n") == 1
 
 
 def test_main_unwritable_output(capsys):

@@ -97,23 +97,23 @@ def test_validity_failure_is_reported_not_raised():
 
 
 def test_tune_to_six_pi():
-    tuned = tune_separation(BASELINE, 3)
+    tuned = tune_separation(derive_setup(BASELINE), 3)
     assert tuned.separation == pytest.approx(2.3212125252002514e-3, rel=1e-12)
     assert tuned.setup.alpha / math.pi == pytest.approx(-6.0, rel=1e-12)
 
 
 def test_tune_nearest_picks_six_pi_from_baseline():
     # |alpha| = 6.96 pi: 0.96 pi below is closer than 1.04 pi above
-    tuned = tune_separation(BASELINE)
+    tuned = tune_separation(derive_setup(BASELINE))
     assert tuned.n_multiple == 3
     assert tuned.separation == pytest.approx(2.3212125252002514e-3, rel=1e-12)
 
 
 def test_tune_rejects_nonpositive_targets():
     with pytest.raises(ValueError):
-        tune_separation(BASELINE, 0)
+        tune_separation(derive_setup(BASELINE), 0)
     with pytest.raises(ValueError):
-        separation_for_alpha(BASELINE, 0.0)
+        separation_for_alpha(derive_setup(BASELINE), 0.0)
 
 
 def test_derived_quantities_outside_double_range_are_named():
@@ -128,12 +128,12 @@ def test_derived_quantities_outside_double_range_are_named():
 def test_tune_nearest_refuses_zero_multiple():
     wide = dataclasses.replace(BASELINE, separation=1.0)  # |alpha| = 0.044 rad rounds to 0 x 2 pi
     with pytest.raises(ValueError, match="nearest to 0 x 2 pi"):
-        tune_separation(wide)
-    assert tune_separation(wide, 1).setup.alpha == pytest.approx(-2.0 * math.pi, rel=1e-12)
+        tune_separation(derive_setup(wide))
+    assert tune_separation(derive_setup(wide), 1).setup.alpha == pytest.approx(-2.0 * math.pi, rel=1e-12)
 
 
 def test_exact_inversion_for_seven_pi():
-    d7 = separation_for_alpha(BASELINE, 7.0 * math.pi)
+    d7 = separation_for_alpha(derive_setup(BASELINE), 7.0 * math.pi)
     assert d7 == pytest.approx(1.9896107358859296e-3, rel=1e-12)
     setup = derive_setup(dataclasses.replace(BASELINE, separation=d7))
     assert abs(setup.alpha) / math.pi == pytest.approx(7.0, rel=1e-12)
@@ -142,7 +142,7 @@ def test_exact_inversion_for_seven_pi():
 @given(st.floats(5e-4, 1e-2))
 def test_tuned_alpha_is_a_clean_multiple(separation):
     inputs = dataclasses.replace(BASELINE, separation=separation)
-    tuned = tune_separation(inputs)
+    tuned = tune_separation(derive_setup(inputs))
     residual = abs(tuned.setup.alpha) % (2.0 * math.pi)
     assert min(residual, 2.0 * math.pi - residual) <= 1e-9
 

@@ -15,7 +15,6 @@ from qif_mzi import (
     GridSpanError,
     InterferometerParams,
     analytic,
-    cli,
     numeric,
 )
 from qif_mzi.numeric import (
@@ -205,8 +204,8 @@ def test_oracle_peak_allocation_is_one_real_plane_and_row_blocks(traced_peak):
 
 
 def test_both_oracles_hold_one_real_plane_at_the_joint_grid_bound(traced_peak):
-    # cli.MAX_JOINT_GRID_POINTS is sized by this peak: one plane of about 34 MB per oracle call
-    n = cli.MAX_JOINT_GRID_POINTS
+    # one plane of about 34 MB per oracle call at n = 2049, the default joint grid at a quarter of its spacing
+    n = 2049
     params, grid = InterferometerParams(0.6, 1.1, 0.7, 0.8, 1.0), default_grid(n=n)
     branches, basis = analytic.reduced_state(params, 1)
     _, oracle = traced_peak(lambda: joint_marginal_oracle(params, 1, grid), warm=True)
