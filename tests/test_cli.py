@@ -841,12 +841,21 @@ _RANGE_ERRORS = [
      "key 'waist_longitudinal_m': must be positive, got -2e-07"),
     (_DESIGN, "tune_target_n", "0", 7, "key 'tune_target_n': must be a positive integer, got 0"),
     ("mode = verify\n", "seed", "-1", 2, "key 'seed': must be >= 0, got -1"),
+    # verify's battery has fixed sizes: its former size keys are unknown at any value
+    ("mode = verify\n", "joint_grid_points", "1", 2, "unknown key 'joint_grid_points'"),
+    ("mode = verify\n", "kick_points", "15", 2, "unknown key 'kick_points'"),
+    ("mode = verify\n", "draws_marginal", "0", 2, "unknown key 'draws_marginal'"),
+    ("mode = verify\n", "draws_ports", "-5", 2, "unknown key 'draws_ports'"),
 ]
 
 
 # upper bounds on allocation sizes, and values that overflow: (id, document, key, value, line, message)
 _LIMIT_ERRORS = [
     ("grid_points-max", FIG2C_TEXT, "grid_points", "1048579", 5, "key 'grid_points': must be <= 1048577, got 1048579"),
+    # the former verify size bounds: a value above the old bound is an unknown key, not a limit error
+    ("joint_grid_points-max", "mode = verify\n", "joint_grid_points", "2051", 2, "unknown key 'joint_grid_points'"),
+    ("kick_points-max", "mode = verify\n", "kick_points", "1048577", 2, "unknown key 'kick_points'"),
+    ("draws_ports-max", "mode = verify\n", "draws_ports", "100001", 2, "unknown key 'draws_ports'"),
     ("sweep-rows-max", _SWEEP.replace("phi_steps = 5\n", ""), "phi_steps", "200001", 7,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 5 * 200001"),
     ("phi-range-overflow", _SWEEP.replace("phi_min = 0\n", "phi_min = -1e308\n").replace("phi_max = 1\n", ""),
