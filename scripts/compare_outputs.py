@@ -9,13 +9,23 @@ writing to the same ``--out`` path (the presets are read from this tree's
 ``configs/`` in both).  A run differs when its exit code, stdout, stderr or
 the SHA-256 of its output file (or the file's absence) differs.  Each such
 run is printed; the script exits 1 if any run differs and 0 if none does.
+
+Before the results it prints the platform fingerprint: the numpy version,
+numpy's dispatch target for float64 ``exp``, the OpenBLAS configuration (and
+``OPENBLAS_CORETYPE`` if set), the libc version and the CPU model.  The
+output bytes are identical only between runs with the same fingerprint.
 """
 
 import hashlib
+import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -27,6 +37,22 @@ DARK_PROBES = (["--delta-over-w", "0", "--phi", "pi"],
 
 # run in the child: its first argument is the src/ directory to import qif_mzi from, the rest is the command line
 _MAIN = "import sys; sys.path.insert(0, sys.argv.pop(1)); from qif_mzi.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def fingerprint() -> str:
+    """One line naming what, besides the source, the output bytes depend on."""
+    (exp,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    parts = [f"numpy {np.__version__}", f"exp float64 {exp['current']} (available {exp['available']})",
+             blas.get("openblas configuration", f"{blas['name']} {blas['version']}")]
+    if "OPENBLAS_CORETYPE" in os.environ:
+        parts.append(f"OPENBLAS_CORETYPE={os.environ['OPENBLAS_CORETYPE']}")
+    parts.append(" ".join(platform.libc_ver()))
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        parts += ["cpu " + line.partition(":")[2].strip() for line in cpuinfo.read_text().splitlines()
+                  if line.startswith("model name")][:1]
+    return "platform: " + "; ".join(parts)
 
 
 def battery() -> list[tuple[str, list[str]]]:
@@ -46,6 +72,11 @@ def battery() -> list[tuple[str, list[str]]]:
     # seed 34 draws a marginal-suite point whose DC pair is dark although N >= 1e-3
     runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (3, 34, 12345)]
     runs += [(f"dark-probe-{k}.csv", ["distributions", *probe, "--alpha", "0"]) for k, probe in enumerate(DARK_PROBES)]
+    # the packet's resolution messages: a grid too coarse for Simpson, and two that truncate a kicked branch
+    runs.append(("coarse-grid.csv", ["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0",
+                                     "--grid-points", "11"]))
+    runs += [(f"truncated-{mode}.csv", [mode, "--delta-over-w", kick, "--phi", "0.75pi", "--alpha", "0"])
+             for mode, kick in (("distributions", "10"), ("decompose", "4"))]
     return runs
 
 
@@ -77,6 +108,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "src" / "qif_mzi").is_dir():
         print("usage: compare_outputs.py OTHER_TREE   (a tree holding src/qif_mzi)", file=sys.stderr)
         return 2
+    print(fingerprint())
     runs = battery()
     differ = compare(Path(argv[0]).resolve(), runs)
     print(f"{len(runs) - len(differ)} of {len(runs)} runs identical")

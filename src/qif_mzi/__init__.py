@@ -17,7 +17,6 @@ from .analytic import (
     mean_postselected,
     mean_postselected_packet_overlap,
     mean_surface,
-    packet_overlap,
     port_amplitudes,
     port_marginal_density,
     port_mean_momenta,

@@ -15,8 +15,9 @@ non-orthogonal basis {unkicked, kicked}.  Each of these is read off one
 array-native engine, :class:`TwoBranchState`: the free amplitude, the
 kicked amplitude and the overlap of the two branches.
 
-The single-packet overlap is I = exp(-delta^2 / 4 W^2); the two-electron
-branch overlap is I^2.  The post-selected mean of electron 1,
+The single-packet overlap is I = exp(-delta^2 / 4 W^2)
+(:meth:`GaussianPacket.overlap`); the two-electron branch overlap is I^2.
+The post-selected mean of electron 1,
 
     <p1> = -delta cos(phi) (cos(phi) + cos(alpha) I^2) / N ,
     N    = 1 + cos^2(phi) + 2 cos(phi) cos(alpha) I^2 ,
@@ -42,7 +43,6 @@ from .core import (
 )
 
 __all__ = [
-    "packet_overlap",
     "TwoBranchState",
     "postselect_norm",
     "term_decomposition",
@@ -62,21 +62,8 @@ __all__ = [
 ]
 
 
-def packet_overlap(delta: float, width: float) -> float:
-    """Inner product of a packet with its copy displaced by ``delta``.
-
-    Equals exp(-delta^2 / 4 width^2); in (0, 1], and 1 only for delta = 0.
-    """
-    if not width > 0.0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    return float(_overlap(delta / width))
-
-
-def _overlap(u):
-    """exp(-u^2 / 4) at kicks u in units of W, a float or an array: the one route to I.  |u| is clamped at 64, where
-    the overlap is already 0.0 and u * u cannot overflow."""
-    u = np.minimum(abs(u), 64.0)
-    return np.exp(-0.25 * u * u)
+#: The unit-width packet: its overlap at a kick in units of W is the one route to I.
+_UNIT = GaussianPacket(1.0)
 
 
 class TwoBranchState(NamedTuple):
@@ -153,7 +140,7 @@ def _dc_states(delta_over_width, phi, alpha: float) -> tuple[TwoBranchState, Two
     """The DC state scaled to a = 1, on floats or arrays: (the I^2 state, b = cos(phi) e^{i alpha}; the single-overlap
     state, b = cos(phi) with branch overlap I).  A point's I and cos(phi) become Python floats, faster than numpy
     scalars and rounding as an array does, so a point's closed forms and its mean_surface cell agree bit for bit."""
-    i1, c = (x if x.ndim else float(x) for x in (_overlap(delta_over_width), np.cos(phi)))
+    i1, c = (x if x.ndim else float(x) for x in (_UNIT.overlap(delta_over_width), np.cos(phi)))
     return TwoBranchState(1.0, c * cmath.exp(1j * alpha), i1, i1 * i1), TwoBranchState(1.0, c, i1, i1)
 
 
@@ -276,7 +263,7 @@ def port_states(r, phi, alpha, delta, width=1.0) -> TwoBranchState:
     rt, plus, minus = r * t, alpha + phi, alpha - phi
     kicked = _matrix(rt * (1j * np.cos(plus) - np.sin(plus)), 0.0, 0.0, rt * (1j * np.cos(minus) - np.sin(minus)))
     shape = r.shape + (4,)
-    i1 = np.broadcast_to(_overlap(delta / width)[..., None], shape)
+    i1 = np.broadcast_to(_UNIT.overlap(delta / width)[..., None], shape)
     exits = [(split @ paths @ np.swapaxes(split, -1, -2)).reshape(shape) for paths in (free, kicked)]
     return TwoBranchState(*exits, i1, i1 * i1)
 

@@ -702,7 +702,7 @@ def main(argv: list[str] | None = None) -> int:
         path, raw, lines = command
         if path is not None:  # flags override the file's keys; errors in an overridden key point at no line
             try:
-                text = Path(path).read_text()
+                text = Path(path).read_text(encoding="utf-8")
             except (OSError, UnicodeError) as err:
                 raise ConfigError(f"cannot read config file {path!r}: {err}") from err
             file_raw, file_lines = parse_config_text(text)

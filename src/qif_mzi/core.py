@@ -72,7 +72,9 @@ class GaussianPacket:
         amplitude(p) = pi**(-1/4) width**(-1/2) exp(-(p - center)^2 / (2 width^2))
 
     The squared amplitude integrates to one, so :meth:`density` is a
-    probability density; its standard deviation is width / sqrt(2).
+    probability density; its standard deviation is width / sqrt(2).  Only the
+    packet writes its shape: amplitude, overlap, tail mass, aliasing bound and
+    position form.
     """
 
     width: float
@@ -97,6 +99,28 @@ class GaussianPacket:
         """Probability density (squared amplitude) at momentum ``p``."""
         amp = self(p)
         return amp * amp
+
+    def overlap(self, shift):
+        """Inner product with the copy displaced by ``shift`` (a float or an array): exp(-(shift / width)^2 / 4), in
+        (0, 1] and 1 only at shift 0.  |shift| / width is clamped at 64, where the overlap is already 0.0 and u * u
+        cannot overflow."""
+        u = np.minimum(abs(shift) / self.width, 64.0)
+        return np.exp(-0.25 * u * u)
+
+    def tail_mass(self, lo: float, hi: float) -> float:
+        """Probability mass of the density outside [lo, hi]."""
+        return 0.5 * (math.erfc((hi - self.center) / self.width) + math.erfc((self.center - lo) / self.width))
+
+    def alias_bound(self, spacing: float) -> float:
+        """Relative aliasing error bound of Simpson on the density at ``spacing`` h: (8/3) exp(-pi^2 W^2 / 4 h^2)."""
+        u = self.width / spacing
+        return (8.0 / 3.0) * math.exp(-0.25 * math.pi * math.pi * u * u)
+
+    def position_amplitude(self, x):
+        """Position wavefunction conjugate to the momentum amplitude (hbar = 1), at ``x`` (an array):
+        pi^(-1/4) W^(1/2) exp(-(W x)^2 / 2) exp(i center x)."""
+        psi = (math.pi ** -0.25) * math.sqrt(self.width) * np.exp(-0.5 * (self.width * x) ** 2)
+        return psi * np.exp(1j * self.center * x)
 
     def shifted(self, shift: float) -> "GaussianPacket":
         """The same packet displaced in momentum by ``shift``."""

@@ -14,7 +14,8 @@ Independent computation paths:
   squared in row blocks of one real plane - checks the Gram algebra purity.
 
 Every Simpson grid is held to one resolution policy,
-:meth:`MomentumGrid.require_resolved`: tail mass and aliasing bound both
+:meth:`MomentumGrid.require_resolved`: each packet's tail mass outside the
+grid and aliasing bound at its spacing, as the packet states them, both
 within ``TAIL_BUDGET``.
 
 Simpson on these analytic Gaussians converges far faster than its h^4 bound
@@ -124,32 +125,20 @@ class MomentumGrid:
             raise DarkPortError("density integrates to ~0; mean undefined")
         return float((w @ (self.points * density)) / total)
 
-    def tail_mass(self, packet: GaussianPacket) -> float:
-        """Analytic probability mass of a packet's density outside the grid."""
-        return 0.5 * (
-            math.erfc((self.p_max - packet.center) / packet.width)
-            + math.erfc((packet.center - self.p_min) / packet.width)
-        )
-
-    def alias_bound(self, width: float) -> float:
-        """Relative aliasing error bound of Simpson on a packet density of ``width``: (8/3) exp(-pi^2 W^2 / 4 h^2)."""
-        u = width / self.spacing
-        return (8.0 / 3.0) * math.exp(-0.25 * math.pi * math.pi * u * u)
-
     def require_resolved(self, packets) -> None:
         """Refuse a grid that truncates a packet (GridSpanError) or samples one too coarsely (AliasingError).
 
         Both the tail mass outside the grid and Simpson's aliasing bound must stay within ``TAIL_BUDGET``.
         """
         for packet in packets:
-            tail = self.tail_mass(packet)
+            tail = packet.tail_mass(self.p_min, self.p_max)
             if tail > TAIL_BUDGET:
                 raise GridSpanError(
                     f"grid [{self.p_min:g}, {self.p_max:g}] truncates a branch centred at "
                     f"{packet.center:g} (tail mass {tail:.2e} > {TAIL_BUDGET:g})"
                 )
         for packet in packets:
-            bound = self.alias_bound(packet.width)
+            bound = packet.alias_bound(self.spacing)
             if bound > TAIL_BUDGET:
                 raise AliasingError(
                     f"spacing h = {self.spacing / packet.width:g} W, alias bound {bound:.1e} > {TAIL_BUDGET:g}"
@@ -279,7 +268,7 @@ def momentum_kick_oracle(packet: GaussianPacket, delta: float, n_points: int = D
         )
     shifted = packet.shifted(-delta)
     lo, hi = p[0], p[0] + n_points * dp
-    tail = 0.5 * (math.erfc((hi - shifted.center) / width) + math.erfc((shifted.center - lo) / width))
+    tail = shifted.tail_mass(lo, hi)
     if tail > TAIL_BUDGET:
         raise GridSpanError(
             f"kicked packet centred at {shifted.center:g} leaks {tail:.2e} past the band "
@@ -287,8 +276,7 @@ def momentum_kick_oracle(packet: GaussianPacket, delta: float, n_points: int = D
         )
 
     x = dx * (np.arange(n_points) - n_points // 2)
-    psi = (math.pi ** -0.25) * math.sqrt(width) * np.exp(-0.5 * (width * x) ** 2)
-    psi = psi * np.exp(1j * center * x)
+    psi = packet.position_amplitude(x)
     psi_kicked = psi * np.exp(-1j * delta * x)
 
     spectrum = np.fft.fft(psi_kicked * np.exp(-1j * lo * x))

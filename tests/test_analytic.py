@@ -48,28 +48,41 @@ def params_st(draw, delta_max=4.0):
 # ---------------------------------------------------------------------------
 
 def test_overlap_matches_quadrature_oracle():
-    grid = default_grid()
-    packet = GaussianPacket(1.0)
-    for delta, frozen in ((0.3, 0.9777512371933363), (2.0, 0.36787944117144233)):
-        quad = grid.integrate(packet(grid.points) * packet.shifted(-delta)(grid.points))
-        closed = analytic.packet_overlap(delta, 1.0)
-        assert closed == pytest.approx(frozen, rel=1e-14)
-        assert quad == pytest.approx(closed, abs=1e-10)
+    # the overlap depends on delta / W alone: each width sees the same frozen values
+    for width in (0.5, 1.0, 2.0):
+        grid = default_grid(width)
+        packet = GaussianPacket(width)
+        for delta_over_width, frozen in ((0.3, 0.9777512371933363), (2.0, 0.36787944117144233)):
+            delta = delta_over_width * width
+            quad = grid.integrate(packet(grid.points) * packet.shifted(-delta)(grid.points))
+            closed = packet.overlap(delta)
+            assert closed == pytest.approx(frozen, rel=1e-14)
+            assert quad == pytest.approx(closed, abs=1e-10)
 
 
 def test_overlap_of_identical_packets_is_one():
-    assert analytic.packet_overlap(0.0, 2.0) == 1.0
+    assert GaussianPacket(2.0).overlap(0.0) == 1.0
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.2, 4.0))
 def test_overlap_in_unit_interval(delta, width):
-    value = analytic.packet_overlap(delta, width)
+    value = GaussianPacket(width).overlap(delta)
     assert 0.0 < value <= 1.0
 
 
 def test_overlap_rejects_bad_width():
     with pytest.raises(ValueError):
-        analytic.packet_overlap(0.3, 0.0)
+        GaussianPacket(0.0).overlap(0.3)
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+def test_overlap_of_an_array_is_the_scalar_overlaps(width):
+    packet = GaussianPacket(width)
+    # both signs, a subnormal, and kicks past the clamp at 64 W
+    deltas = np.array([0.0, 5e-324, 0.3, -0.3, 1.7, 2.0 * width, 20.0, -150.0, 1e300]) * width
+    overlaps = packet.overlap(deltas)
+    assert overlaps.shape == deltas.shape
+    assert overlaps.tobytes() == np.array([packet.overlap(float(d)) for d in deltas]).tobytes()
 
 
 def test_norm_matches_quadrature():
@@ -185,7 +198,7 @@ def test_mean_sign_structure(params):
         return
     c = math.cos(params.phi)
     ca = math.cos(params.alpha)
-    i2 = analytic.packet_overlap(params.delta, params.width) ** 2
+    i2 = GaussianPacket(params.width).overlap(params.delta) ** 2
     # A kicked mean of magnitude delta |c (c + cos(alpha) I^2)| / N below the
     # smallest normal double rounds to a subnormal or to zero: its sign is undefined.
     if params.delta > 0.0 and params.delta * abs(c * (c + ca * i2)) / norm < sys.float_info.min:
@@ -391,7 +404,7 @@ def test_reduced_state_structure():
     coeff = branches.coefficients()
     assert np.array_equal(coeff, coeff.conj().T)  # Hermitian
     assert coeff[0, 0] == 1.0
-    assert branches.overlap == analytic.packet_overlap(HEADLINE.delta, HEADLINE.width)
+    assert branches.overlap == GaussianPacket(HEADLINE.width).overlap(HEADLINE.delta)
     assert np.trace(coeff @ _gram(branches)).real == pytest.approx(analytic.postselect_norm(HEADLINE), rel=1e-14)
     assert basis[1].center == -HEADLINE.delta
     assert analytic.reduced_state(HEADLINE, 2)[1][1].center == HEADLINE.delta

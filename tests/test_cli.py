@@ -3,8 +3,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -939,7 +941,7 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
     if grid is None:
         return
     # the summary states the quadrature mean only where Simpson resolves the packets
-    alias = grid.alias_bound(1.0)
+    alias = GaussianPacket(1.0).alias_bound(grid.spacing)
     assert ("quadrature of the emitted density: unresolved" in stdout.getvalue()) == (alias > numeric.TAIL_BUDGET)
     if alias > numeric.TAIL_BUDGET:
         return
@@ -952,12 +954,12 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
     quad = float((w @ (p * dens)) / (w @ dens))
     closed = analytic.port_mean_momenta(params, 1)[port]
     amp = analytic.port_amplitudes(params)[port]
-    i2 = analytic.packet_overlap(params.delta, params.width) ** 2
+    i2 = GaussianPacket(params.width).overlap(params.delta) ** 2
     gain = (abs(amp.free) ** 2 + abs(amp.kicked) ** 2 + 2.0 * i2 * abs(amp.free * amp.kicked)) / (
         analytic.port_probabilities(params)[port]
     )
     d = params.delta_over_width
-    tail = max(grid.tail_mass(GaussianPacket(1.0, center)) for center in (0.0, -d, d))
+    tail = max(GaussianPacket(1.0, center).tail_mass(grid.p_min, grid.p_max) for center in (0.0, -d, d))
     bound = gain * (3.0 * (grid.p_max + 1.0 + abs(closed)) * (tail + alias) + 1e-13 * (grid.p_max + 1.0))
     assert abs(quad - closed) <= bound
 
@@ -1175,6 +1177,22 @@ def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "qif-mzi: config error: line 2: expected 'key = value', got 'phi'\n"
 
 
+def test_main_reads_a_config_file_as_utf8_in_any_locale(tmp_path):
+    # the C locale without UTF-8 mode: the locale's encoding is ASCII
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(REPO / "src")}
+    preset = tmp_path / "ports.cfg"
+    preset.write_text("# phase φ = 3π/4\nmode = ports\ndelta_over_w = 0.3\nphi = 0.75pi\nalpha = 0\n", encoding="utf-8")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"mode = ports\n\xff\xfe\n")
+    child = [sys.executable, "-c", "import sys; from qif_mzi.cli import main; sys.exit(main())", "--config"]
+    runs = {path: subprocess.run([*child, str(path)], capture_output=True, text=True, env=env) for path in (preset, binary)}
+    assert (runs[preset].returncode, runs[preset].stderr) == (0, "")
+    assert runs[preset].stdout.startswith("ports mode: ")
+    assert runs[binary].returncode == 2
+    assert runs[binary].stderr.startswith(f"qif-mzi: config error: cannot read config file {str(binary)!r}")
+
+
 _FLAGS = {"--" + key.replace("_", "-") for key in cli._KEYS if key != "mode"}
 
 
@@ -1310,13 +1328,20 @@ def test_reproduce_figures_returns_the_failing_run_code(monkeypatch, tmp_path, c
     assert list((tmp_path / "out").iterdir()) == []  # the script stops at the first failing run
 
 
-def test_compare_outputs_reports_only_a_run_that_differs(tmp_path, capsys):
+def test_compare_outputs_reports_only_a_run_that_differs(tmp_path, capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("compare_outputs", REPO / "scripts" / "compare_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     runs = [("ports.csv", ["ports", "--delta-over-w", "0.3", "--phi", "1", "--alpha", "0"])]
     assert script.compare(REPO, runs) == []
     assert capsys.readouterr().out == ""
+    # the script states the platform fingerprint before its results
+    monkeypatch.setattr(script, "battery", lambda: runs)
+    assert script.main([str(REPO)]) == 0
+    fingerprint, result = capsys.readouterr().out.splitlines()
+    assert fingerprint == script.fingerprint()
+    assert fingerprint.startswith(f"platform: numpy {np.__version__}; exp float64 ")
+    assert result == "1 of 1 runs identical"
     # a copy whose ports summary reads differently: the same table, a different stdout
     shutil.copytree(REPO / "src" / "qif_mzi", tmp_path / "src" / "qif_mzi", ignore=shutil.ignore_patterns("__pycache__"))
     cli_py = tmp_path / "src" / "qif_mzi" / "cli.py"

@@ -61,6 +61,34 @@ def test_shift_zero_is_identity():
     assert packet.shifted(0.0) == packet
 
 
+@pytest.mark.parametrize("width, center, lo, hi", [
+    (1.0, 0.0, -2.0, 2.0),   # tail mass 4.7e-3, even
+    (0.5, 0.3, -0.4, 1.5),   # 2.4e-2, mostly on the right
+    (2.0, -1.0, -3.0, 4.0),  # 7.9e-2, mostly on the left
+    (1.0, 2.0, -1.0, 3.0),   # 7.9e-2, centre off the middle of the interval
+])
+def test_tail_mass_is_one_minus_the_mass_inside(width, center, lo, hi):
+    packet = GaussianPacket(width, center)
+    grid = MomentumGrid(lo, hi, 4001)
+    inside = grid.integrate(packet.density(grid.points))
+    assert abs(packet.tail_mass(lo, hi) - (1.0 - inside)) < 1e-13
+
+
+def test_alias_bound_bounds_the_simpson_error_of_the_norm():
+    worst = 0.0
+    for width in (0.5, 1.0, 2.0):
+        for spacing in np.linspace(0.3, 1.6, 27) * width:
+            k = math.ceil(12.0 * width / spacing)  # 12 W either side: no tail mass
+            grid = MomentumGrid(-k * spacing, k * spacing, 2 * k + 1)
+            for offset in (0.0, 0.13, 0.25, 0.37, 0.5, 0.71):  # packet centre between grid points, in units of h
+                packet = GaussianPacket(width, offset * spacing)
+                error = abs(grid.integrate(packet.density(grid.points)) - 1.0)
+                bound = packet.alias_bound(grid.spacing)
+                assert error <= bound
+                worst = max(worst, error / bound)
+    assert worst > 0.1  # the bound is within a factor of ten of the worst error
+
+
 def test_packet_rejects_bad_width_and_nonfinite():
     with pytest.raises(ValueError):
         GaussianPacket(0.0)
