@@ -11,11 +11,13 @@ the SHA-256 of its output file (or the file's absence) differs.  Each such
 run is printed; the script exits 1 if any run differs and 0 if none does.
 
 Before the results it prints the platform fingerprint: the numpy version,
-numpy's dispatch target for float64 ``exp``, the OpenBLAS configuration (and
-``OPENBLAS_CORETYPE`` if set), the libc version and the CPU model.  The
-output bytes are identical only between runs with the same fingerprint.
+numpy's dispatch target for float64 ``exp``, the OpenBLAS configuration, the
+core OpenBLAS picked at run time (and ``OPENBLAS_CORETYPE`` if set), the libc
+version and the CPU model.  The output bytes are identical only between runs
+with the same fingerprint.
 """
 
+import ctypes
 import hashlib
 import os
 import platform
@@ -39,12 +41,25 @@ DARK_PROBES = (["--delta-over-w", "0", "--phi", "pi"],
 _MAIN = "import sys; sys.path.insert(0, sys.argv.pop(1)); from qif_mzi.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def blas_core() -> str:
+    """The core the bundled OpenBLAS dispatches to at run time, which the build configuration does not name."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return "unknown"
+
+
 def fingerprint() -> str:
     """One line naming what, besides the source, the output bytes depend on."""
     (exp,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     parts = [f"numpy {np.__version__}", f"exp float64 {exp['current']} (available {exp['available']})",
-             blas.get("openblas configuration", f"{blas['name']} {blas['version']}")]
+             blas.get("openblas configuration", f"{blas['name']} {blas['version']}"), f"core {blas_core()}"]
     if "OPENBLAS_CORETYPE" in os.environ:
         parts.append(f"OPENBLAS_CORETYPE={os.environ['OPENBLAS_CORETYPE']}")
     parts.append(" ".join(platform.libc_ver()))

@@ -341,7 +341,8 @@ def _report_grid(config: RunConfig, params: InterferometerParams) -> tuple[numer
 def _fmt(value: float, spec: str) -> str:
     """A summary number to ``spec`` (sign and precision, such as "+.6"): fixed point, or scientific from 1e9 up,
     where fixed point runs long."""
-    return format(value, spec + ("e" if abs(value) >= 1e9 else "f"))
+    # + 0.0 prints an exact -0.0 as +0; a negative number that rounds to zero keeps its sign
+    return format(value + 0.0, spec + ("e" if abs(value) >= 1e9 else "f"))
 
 
 def _fmt_params(params: InterferometerParams) -> str:

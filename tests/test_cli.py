@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -684,6 +685,26 @@ def test_ports_mode_marks_dark_ports_without_nan():
     assert b"nan" not in text.lower()
 
 
+def test_summaries_print_an_exact_zero_without_sign(tmp_path, capsys):
+    # at delta = 0 the CD mean and the closed-form unconditioned mean are exact -0.0
+    assert main(["ports", "--delta-over-w", "0", "--phi", "0.75pi", "--alpha", "0", "--out", str(tmp_path / "p.csv")]) == 0
+    ports = capsys.readouterr().out
+    assert "-0.000000" not in ports
+    assert "  P(CD) = 0.728553   mean p1 = +0.000000 W\n" in ports
+    assert "  unconditioned mean of p1, closed form -2 t^2 r^2 delta: +0.000000 W\n" in ports
+    # fig2a's quadrature mean is a true -7.67e-17 and keeps its sign
+    out = tmp_path / "fig2a.csv"
+    assert main(["--config", str(REPO / "configs" / "fig2a.cfg"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "distributions mode: port DC, r=0.707107, delta/W=0, phi=2.35619449 rad, alpha=0.00000000 rad\n"
+        "  mean p1/W from quadrature of the emitted density: -0.000000\n"
+        "  mean p1/W, closed form with branch overlap I^2:  +0.000000\n"
+        "  mean p1/W, closed form with packet overlap I:    +0.000000\n"
+        "  overlap-convention difference:                   +0.000000\n"
+        f"wrote 2001 row(s) to {out} (csv)\n"
+    )
+
+
 def test_design_mode_row_and_checks():
     config = build_config(
         {
@@ -1342,6 +1363,14 @@ def test_compare_outputs_reports_only_a_run_that_differs(tmp_path, capsys, monke
     assert fingerprint == script.fingerprint()
     assert fingerprint.startswith(f"platform: numpy {np.__version__}; exp float64 ")
     assert result == "1 of 1 runs identical"
+    # it names the OpenBLAS core picked at run time, which OPENBLAS_CORETYPE overrides
+    core = script.blas_core()
+    assert f"; core {core}; " in fingerprint
+    if core != "unknown" and platform.machine() == "x86_64":
+        read_core = "import compare_outputs; print(compare_outputs.blas_core())"
+        child = subprocess.run([sys.executable, "-c", read_core], capture_output=True, text=True, cwd=REPO / "scripts",
+                               env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"})
+        assert child.stdout == "Haswell\n"
     # a copy whose ports summary reads differently: the same table, a different stdout
     shutil.copytree(REPO / "src" / "qif_mzi", tmp_path / "src" / "qif_mzi", ignore=shutil.ignore_patterns("__pycache__"))
     cli_py = tmp_path / "src" / "qif_mzi" / "cli.py"

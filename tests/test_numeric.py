@@ -195,6 +195,24 @@ def test_oracle_real_planes_match_complex_field_bit_for_bit(r, phi, alpha, delta
     assert np.array_equal(oracle.values, _complex_oracle_marginal(params, electron, grid))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.floats(0.0, 3.0),
+    st.integers(1, 2),
+)
+def test_oracle_bits_hold_where_packet_samples_underflow_to_zero(r, phi, alpha, delta, electron):
+    # past |p| = 38.6 W exp(-p^2 / 2) is 0.0, so the products hold rows and columns of exact zeros
+    params, grid = InterferometerParams(r, phi, alpha, delta, 1.0), MomentumGrid(-40.0, 40.0, 1025)
+    if analytic.postselect_norm(params) < 1e-3:
+        return
+    assert not params.packet()(grid.points).all()
+    oracle = joint_marginal_oracle(params, electron, grid)
+    assert np.array_equal(oracle.values, _complex_oracle_marginal(params, electron, grid))
+
+
 def test_oracle_peak_allocation_is_one_real_plane_and_row_blocks(traced_peak):
     params = InterferometerParams(0.6, 0.75 * math.pi, 0.4, 0.3, 1.0)
     grid = default_grid(n=numeric.DEFAULT_JOINT_POINTS)
