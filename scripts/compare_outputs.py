@@ -84,6 +84,12 @@ def battery() -> list[tuple[str, list[str]]]:
     runs += [(f"distributions-{port}.csv", ["distributions", "--port", port, *POINT])
              for port in ("cc", "cd", "dc", "dd")]
     runs.append(("decompose.csv", ["decompose", *POINT[2:]]))  # decompose has no r key: the balanced splitter
+    json = "--format", "json"
+    runs += [("ports.json", ["ports", *POINT, *json]), ("distributions-dc.json", ["distributions", *POINT, *json]),
+             ("decompose.json", ["decompose", *POINT[2:], *json])]
+    # delta = 0: the CD mean of p1 and the TOTAL mean of p2 are exact zeros, computed as -0.0
+    runs += [(f"ports-delta-0.{fmt}", ["ports", "--delta-over-w", "0", "--phi", "0.75pi", "--alpha", "0",
+                                       "--format", fmt]) for fmt in ("csv", "json")]
     # seed 34 draws a marginal-suite point whose DC pair is dark although N >= 1e-3
     runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (3, 34, 12345)]
     runs += [(f"dark-probe-{k}.csv", ["distributions", *probe, "--alpha", "0"]) for k, probe in enumerate(DARK_PROBES)]

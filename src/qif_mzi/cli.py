@@ -43,9 +43,9 @@ _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alp
 _GRID_MODES = ("distributions", "decompose")  # modes that emit a table over a 1D momentum grid
 
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for: a report grid of
-# 2^20 + 1 points and a sweep of 10^6 rows (four times the 501 x 501 sweep; a fresh process peaks at about 56 MiB as
-# CSV and 58 MiB as JSON at 1000 x 1000, and at 71 and 74 MiB at 2 x 500,000, where the writer holds the phi axis's
-# 12 MB of text once).  verify runs at the fixed sizes of verify.run_all, so it has no size keys to bound.
+# 2^20 + 1 points and a sweep of 10^6 rows (four times the 501 x 501 sweep; a fresh process peaks at about 56 MiB
+# at 1000 x 1000, as CSV or JSON, and at 71 MiB at 2 x 500,000, where the writer holds the phi axis's 12 MB of text
+# once).  verify runs at the fixed sizes of verify.run_all, so it has no size keys to bound.
 MAX_GRID_POINTS = 2**20 + 1
 MAX_SWEEP_ROWS = 10**6
 INT64_MAX = 2**63 - 1  # integer table cells are int64
@@ -447,11 +447,13 @@ def _run_ports(config: RunConfig) -> RunResult:
     means2 = analytic.port_mean_momenta(params, 2)
     balance = analytic.ehrenfest_check(params)
     defined = [int(means1[port] is not None) for port in PortPair]  # a dark port's means are written as 0
+    # + 0.0 writes an exact -0.0 as 0.0, as _fmt prints it
+    column1, column2 = ([0.0 if m is None else m + 0.0 for m in means.values()] for means in (means1, means2))
     rows = typed_table({
         "port": [port.name for port in PortPair] + ["TOTAL"],
         "probability": list(probs.values()) + [sum(probs.values())],
-        "mean_p1_over_W": [m if m is not None else 0.0 for m in means1.values()] + [balance.weighted_sum],
-        "mean_p2_over_W": [m if m is not None else 0.0 for m in means2.values()] + [-balance.weighted_sum],
+        "mean_p1_over_W": column1 + [balance.weighted_sum + 0.0],
+        "mean_p2_over_W": column2 + [-balance.weighted_sum + 0.0],
         "mean_defined": defined + [1],
     })
     summary = [f"ports mode: {_fmt_params(params)}"]
@@ -537,8 +539,8 @@ def execute(config: RunConfig) -> RunResult:
 # Table writers
 # ---------------------------------------------------------------------------
 
-# Rows per byte matrix: a block of the sweep's five columns traces 1.1 to 1.7 MB of temporaries as CSV, 2.1 to 2.7 MB as
-# JSON, its text and the copy with the zeros dropped the most of it.
+# Rows per CSV byte matrix: a block of the sweep's five columns traces 1.1 to 1.4 MB of temporaries, its text and the
+# copy with the zeros dropped the most of it; a JSON block of as much text, 0.9 to 1.3 MB.
 _CHUNK_ROWS = 2**12
 
 # Text of an int or str cell (ASCII str, or UTF-8 bytes that keep lone surrogates as a str does) and its
@@ -569,14 +571,27 @@ def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
     return text.translate(None, b"\0")
 
 
+def _separators(columns: list[str], fmt: str) -> tuple[list[bytes], int]:
+    """The bytes before each cell, then after the row, and the rows of a block: ``_CHUNK_ROWS`` for CSV, and for JSON
+    as many as pad to a CSV block's text (24-byte cell slots and separators), at least 1."""
+    if fmt == "csv":
+        between = [""] + [","] * (len(columns) - 1) + ["\n"]
+    else:
+        between = [("  {\n" if j == 0 else ",\n") + f"    {json.dumps(name)}: " for j, name in enumerate(columns)]
+        between.append("\n  },\n")
+    between, slots = [text.encode() for text in between], floatfmt.WIDTH * len(columns)
+    return between, max(1, _CHUNK_ROWS * (slots + len(columns)) // (slots + sum(map(len, between))))
+
+
 def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None):
     """Append a table's CSV or JSON text, as UTF-8 bytes, to ``out`` (a new ``bytearray`` by default) with ``+=`` and
     return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.
 
-    The head goes first, then blocks of at most ``_CHUNK_ROWS`` rows (whole grid rows, or a slice of one), each one
-    uint8 matrix: a template row of the separators repeated, the block's zero-padded cells assigned into its slots (an
-    axis's as a broadcast of its text, formatted once), its zero bytes dropped in one pass.  No bytes are decoded (a
-    ``str`` of a 29 MB table, and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV floats are
+    The head goes first, then blocks of rows (whole grid rows, or a slice of one; ``_CHUNK_ROWS`` for CSV, and for
+    JSON, whose rows run about twice as long, as many as pad to a CSV block's text), each one uint8 matrix: a template
+    row of the separators repeated, the block's zero-padded cells assigned into its slots (an axis's as a broadcast of
+    its text, formatted once), its zero bytes dropped in one pass.  No bytes are decoded (a ``str`` of a 29 MB table,
+    and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV floats are
     ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`, with ``%`` or
     ``repr`` itself formatting the cells its error bound cannot decide.  JSON is ``json.dumps(objects, indent=2)`` of
     the rows as objects, ``[]`` for none.  Identical inputs give identical bytes.  Floats must be finite, since JSON
@@ -598,17 +613,11 @@ def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None)
             for block in numeric.blocks(values.shape, _CHUNK_ROWS):
                 text[block] = _cells(values[block], fmt)
             axes[k] = np.broadcast_to(text, shape + text.shape[-1:])
-    if fmt == "csv":
-        head = ",".join(columns) + "\n"
-        between = [""] + [","] * (len(columns) - 1) + ["\n"]  # before each cell, then after the row
-    else:
-        head = "[\n" if len(rows) else "[]\n"
-        between = [("  {\n" if j == 0 else ",\n") + f"    {json.dumps(name)}: " for j, name in enumerate(columns)]
-        between.append("\n  },\n")
-    between = [text.encode() for text in between]
+    between, block_rows = _separators(columns, fmt)
     out = bytearray() if out is None else out
+    head = ",".join(columns) + "\n" if fmt == "csv" else "[\n" if len(rows) else "[]\n"
     out += head.encode("utf-8", "surrogatepass")
-    blocks = numeric.blocks(shape, _CHUNK_ROWS)
+    blocks = numeric.blocks(shape, block_rows)
     for b, block in enumerate(blocks):
         cells = {k: text[block] for k, text in axes.items()}
         if floats:  # one call for every float column: a call per column costs wide tables dearly

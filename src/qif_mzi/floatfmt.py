@@ -202,7 +202,8 @@ def _render(x, shortest):
         words[:, 4] |= keep_bytes[5] * ~positional  # the "e"
         words[positional, 5] = keep_bytes[6]
         templates = _tables()[2]
-        for exponent in np.unique(k[positional]):  # a table holds a handful of exponents: one gather each is cheap
+        # a table holds a handful of exponents, -4 to 15, one gather each; bincount, as np.unique imports numpy.ma
+        for exponent in np.flatnonzero(np.bincount(k[positional] + 4)) - 4:
             rows = np.flatnonzero(positional & (k == exponent))
             out[rows] = np.take(out, rows, axis=0)[:, templates[exponent + 4]]
     out[uncertain] = _exact(x[uncertain], repr if shortest else b"%.16e".__mod__).view(np.uint8).reshape(-1, WIDTH)

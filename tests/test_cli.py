@@ -374,6 +374,19 @@ def test_small_tables_take_the_exact_path(monkeypatch):
     _json_floats(values)
 
 
+def test_json_tables_leave_numpy_ma_unimported():
+    # numpy 2.4's np.unique imports numpy.ma, 14 to 17 ms and 1.3 MB resident in a fresh process; the JSON path of
+    # _SMALL floats and more, which groups cells by exponent, must not call it
+    code = ("import sys; import numpy as np; from qif_mzi import cli, floatfmt; before = 'numpy.ma' in sys.modules; "
+            "cli.write_table(['x'], cli.typed_table({'x': np.linspace(0.1, 1e20, floatfmt._SMALL)}), 'json'); "
+            "print(before, 'numpy.ma' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert child.returncode == 0, child.stderr
+    before, after = child.stdout.split()
+    assert after == before
+
+
 def test_main_writes_through_the_module_attribute_write_table(monkeypatch, tmp_path):
     # the benchmark times cli.write_table by wrapping that attribute: main must look it up there
     calls = []
@@ -385,13 +398,14 @@ def test_main_writes_through_the_module_attribute_write_table(monkeypatch, tmp_p
 
 
 class _Counting:
-    """A ``write_table`` sink that keeps only the count of the bytes appended to it."""
+    """A ``write_table`` sink that keeps only the count of the bytes appended to it, and of the pieces."""
 
     def __init__(self):
-        self.size = 0
+        self.size = self.pieces = 0
 
     def __iadd__(self, data):
         self.size += len(data)
+        self.pieces += 1
         return self
 
     def __len__(self):
@@ -407,21 +421,25 @@ def _main_writes(monkeypatch, table, fmt, out):
     return main([*_PORTS_ARGV, "--format", fmt, "--out", str(out)])
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, "2n+1", "empty"])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2n+1", "empty", "json-1", "json+0", "json+1"])
 def test_writer_is_seamless_across_row_chunks(offset, monkeypatch, tmp_path, capsys):
     # main streams the table to its file chunk by chunk: the file must hold the in-memory bytes, the JSON tail
-    # fixed on the last chunk only, and "[]" for no rows
-    n = 0 if offset == "empty" else 2 * cli._CHUNK_ROWS + 1 if offset == "2n+1" else cli._CHUNK_ROWS + offset
+    # fixed on the last chunk only, and "[]" for no rows.  JSON's chunks are shorter, by the writer's own rule
+    names = ["x", "n", "s"]
+    chunk = {fmt: cli._separators(names, fmt)[1] for fmt in ("csv", "json")}
+    assert chunk["csv"] == cli._CHUNK_ROWS and chunk["json"] < cli._CHUNK_ROWS
+    n = (0 if offset == "empty" else 2 * cli._CHUNK_ROWS + 1 if offset == "2n+1"
+         else chunk["json"] + int(offset[4:]) if isinstance(offset, str) else cli._CHUNK_ROWS + offset)
     rng = np.random.default_rng(n)
     floats = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
     ints = rng.integers(-(2**63), 2**63 - 1, n).tolist()
     strs = [["", "a,b", "é\n", '"q"'][i % 4] * (i % 3) for i in range(n)]
-    names = ["x", "n", "s"]
     rows = list(zip(floats, ints, strs))
     table = typed_table({"x": floats, "n": ints, "s": strs})
     for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
         text = write_table(names, table, fmt)
         _assert_bytes(text, reference(names, rows))
+        assert write_table(names, table, fmt, _Counting()).pieces == 1 + -(-n // chunk[fmt])  # the head, then chunks
         out = tmp_path / f"table.{fmt}"
         assert _main_writes(monkeypatch, table, fmt, out) == 0
         assert out.read_bytes() == text
@@ -467,8 +485,8 @@ def _warm_floatfmt(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys, traced_peak):
     # the table goes to the file block by block, so main peaks at the run's own peak plus what a block holds beyond
-    # it (none for CSV, 0.5 MB for JSON); keeping a block's text into the next block's formatting adds 1 to 2 MB and
-    # breaks the bound, as does holding the 4.7 MB CSV or 8.7 MB JSON file
+    # it (none for CSV or JSON, where JSON's blocks of 4096 rows held 0.5 MB); holding the 4.7 MB CSV or 8.7 MB JSON
+    # file breaks the bound, and the sink test below catches a block's text kept into the next block's formatting
     out = tmp_path / f"sweep.{fmt}"
     _warm_floatfmt(fmt)
     _, run = traced_peak(lambda: execute(build_config(_SWEEP_201)))
@@ -482,7 +500,7 @@ def test_main_peak_allocation_on_the_501_sweep_stays_under_four_and_a_half_plane
                                                                                    traced_peak):
     # the sweep's table is its two axes and three mean_surface planes, filled block by block, so main traces the
     # planes, one evaluation block's temporaries and then one writer block's: 3.94 float64 planes of the grid for CSV
-    # and 4.06 for JSON, where one whole-grid mean_surface call traced 5.21
+    # and for JSON (4.05 with JSON blocks of 4096 rows), where one whole-grid mean_surface call traced 5.21
     config = {**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}
     out = tmp_path / f"sweep.{fmt}"
     _warm_floatfmt(fmt)
@@ -519,22 +537,26 @@ def test_float_formatter_peak_allocation_per_block(render, bound, traced_peak):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("steps,size,bound", [((201, 201), 4_000_000, 3_000_000), ((501, 501), 4_000_000, 3_000_000),
-                                              ((2, 3 * cli._CHUNK_ROWS + 5), 2_500_000, 3_000_000),
-                                              ((2, 100_000), 20_000_000, 3_000_000 + 24 * 100_000)],
+@pytest.mark.parametrize("steps,size,bound", [((201, 201), 4_000_000, 1_600_000), ((501, 501), 4_000_000, 1_600_000),
+                                              ((2, 3 * cli._CHUNK_ROWS + 5), 2_500_000, 1_600_000),
+                                              ((2, 100_000), 20_000_000, 1_600_000 + 24 * 100_000)],
                          ids=["201", "501", "wide-phi", "long-phi"])
 def test_writer_peak_allocation_into_a_sink_does_not_grow_with_the_table(steps, size, bound, fmt, traced_peak):
-    # one block's temporaries: 1.1 to 1.4 MB (CSV) and 2.1 to 2.4 MB (JSON), for files of 2.9 to 54 MB; keeping the
-    # cells through the zero-dropping copy and the text into the next block makes 3.4 to 4.0 MB for JSON.  The wide
-    # grid's blocks are slices of a phi row, where one block per delta row would hold 12,293 rows' temporaries.  A
-    # long axis adds its text, 24 bytes a value, held once: 3.5 (CSV) and 4.5 MB (JSON) at 2 x 100,000, where joining
-    # the text from its pieces held it twice, 5.9 and 6.9 MB
+    # one block's temporaries: 1.1 to 1.4 MB (CSV) and 0.9 to 1.3 MB (JSON), for files of 2.9 to 54 MB; keeping the
+    # cells through the zero-dropping copy and the text into the next block makes 1.8 to 2.1 MB (CSV) and 1.5 to 2.0 MB
+    # (JSON).  The wide grid's blocks are slices of a phi row, where one block per delta row would hold 12,293 rows'
+    # temporaries.  A long axis adds its text, 24 bytes a value, held once: 3.5 (CSV) and 3.4 MB (JSON) at
+    # 2 x 100,000, where joining the text from its pieces held it twice, 5.9 and 6.9 MB
     config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
     result = execute(build_config(config))
     _warm_floatfmt(fmt)
     sink, peak = traced_peak(lambda: write_table(result.columns, result.rows, fmt, _Counting()))
     assert len(sink) > size
     assert peak < bound
+    if fmt == "json":  # a JSON chunk pads to a CSV chunk's text: 0.86 to 0.98 times its peak, equal rows 1.3 to 1.9
+        _warm_floatfmt("csv")
+        _, csv_peak = traced_peak(lambda: write_table(result.columns, result.rows, "csv", _Counting()))
+        assert peak < 1.1 * csv_peak
 
 
 def _sweep_config(delta_steps, phi_steps, delta_min=0.0, delta_span=3.0, phi_min=0.0, phi_span=2 * math.pi,
@@ -683,6 +705,16 @@ def test_ports_mode_marks_dark_ports_without_nan():
     assert by_port["CD"]["mean_defined"] == 1
     text = write_table(result.columns, result.rows, "csv")
     assert b"nan" not in text.lower()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ports_table_writes_an_exact_zero_without_sign(fmt, tmp_path, capsys):
+    # at delta = 0 the CD mean of p1 and the TOTAL mean of p2 are exact -0.0: the table writes 0, as the summary prints
+    out = tmp_path / f"ports.{fmt}"
+    argv = ["ports", "--delta-over-w", "0", "--phi", "0.75pi", "--alpha", "0", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert re.search(r"-0\.0*(e\+00)?[,\n]", text) is None  # a negative zero cell, in either format
 
 
 def test_summaries_print_an_exact_zero_without_sign(tmp_path, capsys):
