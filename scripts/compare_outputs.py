@@ -6,8 +6,10 @@ Usage: python scripts/compare_outputs.py OTHER_TREE
 Each run of a fixed battery goes through ``qif_mzi.cli.main`` in a fresh
 process, once with this tree's ``src/`` and once with ``OTHER_TREE/src``,
 writing to the same ``--out`` path (the presets are read from this tree's
-``configs/`` in both).  A run differs when its exit code, stdout, stderr or
-the SHA-256 of its output file (or the file's absence) differs.  Each such
+``configs/`` in both); a run whose name ends in neither ``.csv`` nor
+``.json`` gets no ``--out`` and writes only to stdout.  A run differs when
+its exit code, stdout, stderr or the SHA-256 of its output file (or the
+file's absence) differs.  Each such
 run is printed; the script exits 1 if any run differs and 0 if none does.
 
 Before the results it prints the platform fingerprint: the numpy version,
@@ -78,6 +80,15 @@ def battery() -> list[tuple[str, list[str]]]:
               ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "3", "--delta-over-w-steps", "501",
                "--phi-min", "0", "--phi-max", "2pi", "--phi-steps", "501", "--alpha", alpha, "--format", fmt])
              for alpha in ("0", "0.4") for fmt in ("csv", "json")]
+    # writer blocks that slice a phi row, and a short last block of delta rows; the summary alone, with no table
+    runs += [(f"sweep-{shape}.{fmt}", ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "3",
+                                       "--delta-over-w-steps", n_delta, "--phi-min", "0", "--phi-max", "2pi",
+                                       "--phi-steps", n_phi, "--alpha", alpha, "--format", fmt])
+             for shape, n_delta, n_phi, alpha in (("2x9001", "2", "9001", "0"), ("37x113", "37", "113", "0.4"))
+             for fmt in ("csv", "json")]
+    runs.append(("sweep-501-summary", ["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "3",
+                                       "--delta-over-w-steps", "501", "--phi-min", "0", "--phi-max", "2pi",
+                                       "--phi-steps", "501", "--alpha", "0"]))
     # an explicit 2 pi multiple, where the preset lets the tuning pick the nearest one
     runs.append(("design-tune-5.csv", ["--config", str(REPO / "configs" / "design.cfg"), "--tune-target-n", "5"]))
     runs.append(("ports.csv", ["ports", *POINT]))
@@ -104,8 +115,8 @@ def battery() -> list[tuple[str, list[str]]]:
 def _outcome(src: Path, argv: list[str], out: Path) -> tuple:
     """(exit code, stdout, stderr, SHA-256 of ``out`` or None) of one run with qif_mzi imported from ``src``."""
     out.unlink(missing_ok=True)
-    proc = subprocess.run([sys.executable, "-c", _MAIN, str(src), *argv, "--out", str(out)],
-                          capture_output=True, cwd=out.parent)
+    writes = ["--out", str(out)] if out.suffix in (".csv", ".json") else []
+    proc = subprocess.run([sys.executable, "-c", _MAIN, str(src), *argv, *writes], capture_output=True, cwd=out.parent)
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     return proc.returncode, proc.stdout, proc.stderr, digest
 

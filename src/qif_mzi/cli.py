@@ -43,8 +43,8 @@ _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alp
 _GRID_MODES = ("distributions", "decompose")  # modes that emit a table over a 1D momentum grid
 
 # Allocation bounds, so that no configuration can ask for more memory than a run is sized for: a report grid of
-# 2^20 + 1 points and a sweep of 10^6 rows (four times the 501 x 501 sweep; a fresh process peaks at about 56 MiB
-# at 1000 x 1000, as CSV or JSON, and at 71 MiB at 2 x 500,000, where the writer holds the phi axis's 12 MB of text
+# 2^20 + 1 points and a sweep of 10^6 rows (four times the 501 x 501 sweep; a fresh process peaks at about 33 MiB
+# at 1000 x 1000, as CSV or JSON, and at 48 MiB at 2 x 500,000, where the writer holds the phi axis's 12 MB of text
 # once).  verify runs at the fixed sizes of verify.run_all, so it has no size keys to bound.
 MAX_GRID_POINTS = 2**20 + 1
 MAX_SWEEP_ROWS = 10**6
@@ -148,7 +148,7 @@ def _mode_keys(mode: str, *roles: str) -> list[str]:
 @dataclass
 class RunResult:
     rows: GridTable
-    summary: list[str] = field(default_factory=list)
+    summary: list[str] = field(default_factory=list)  # a sweep's is complete once its table's blocks are all read
     exit_code: int = 0
 
     @property
@@ -177,17 +177,22 @@ class GridTable:
     """A table over the product of two axes, in row-major order (the first axis outer), without its repeated cells:
     each column keeps the 2D shape it varies over, (n, 1) or (1, m) for a float64 axis, which the writer formats into
     fixed 24-byte cells, and the table's ``shape`` (n, m) for a full column, float64, a signed int or str: the kinds
-    the writer has cells for.  Any other column is refused when the table is built."""
+    the writer has cells for.  Any other column is refused when the table is built.  A full column held as None is
+    computed: ``fill(block)`` gives each such column over a block of the grid, by name, when :meth:`full` reads it."""
 
-    columns: dict[str, np.ndarray]
+    columns: dict[str, np.ndarray | None]
+    fill: typing.Callable[[tuple[slice, slice]], dict[str, np.ndarray]] | None = None
     shape: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
-        for name, values in self.columns.items():
+        stored = {name: values for name, values in self.columns.items() if values is not None}
+        if len(stored) < len(self.columns) and self.fill is None:
+            raise ValueError("a grid table with computed columns needs a fill")
+        for name, values in stored.items():
             if values.ndim != 2:
                 raise ValueError(f"grid table column {name!r} is {values.ndim}D, not 2D")
-        shape = np.broadcast_shapes(*(a.shape for a in self.columns.values()))  # refuses columns that do not broadcast
-        for name, values in self.columns.items():
+        shape = np.broadcast_shapes(*(a.shape for a in stored.values()))  # refuses columns that do not broadcast
+        for name, values in stored.items():
             if values.dtype != np.float64 and not (values.shape == shape and values.dtype.kind in "iU"):
                 raise ValueError(f"grid table column {name!r} is {values.dtype}, not float64 "
                                  "(nor a signed int or str that fills the grid)")
@@ -196,8 +201,15 @@ class GridTable:
     def __len__(self) -> int:
         return math.prod(self.shape)
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def __getitem__(self, name: str) -> np.ndarray | None:
         return self.columns[name]
+
+    def full(self, block: tuple[slice, slice]) -> dict[str, np.ndarray]:
+        """The full columns over ``block``, one of ``numeric.blocks(shape, ...)``, read in row-major order: a stored
+        column's slice, a computed one's ``fill``."""
+        computed = {} if self.fill is None else self.fill(block)
+        return {name: computed[name] if values is None else values[block]
+                for name, values in self.columns.items() if values is None or values.shape == self.shape}
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -394,50 +406,39 @@ def _run_decompose(config: RunConfig) -> RunResult:
     return RunResult(rows, summary)
 
 
-# Grid points per mean_surface call in a sweep: its temporaries, about five float64 planes of the block, stay near
-# 1.3 MB at any grid size, and 8 calls for the 501 x 501 sweep cost no more time than one.
-_SURFACE_CELLS = 2**15
-
-
 def _run_sweep(config: RunConfig) -> RunResult:
+    """The means over the (delta/W, phi) grid, delta outer: its two axes, and three columns that ``mean_surface`` gives
+    each block as it is read, holding no (n_delta, n_phi) plane.  A walk's blocks fold into the summary, at its end."""
     deltas = np.linspace(config.delta_over_w_min, config.delta_over_w_max, config.delta_over_w_steps)
     phis = np.linspace(config.phi_min, config.phi_max, config.phi_steps)
-    shape = (deltas.size, phis.size)
-    blocks = numeric.blocks(shape, _SURFACE_CELLS)
-    if len(blocks) == 1:  # that call's planes are the table's: preallocated copies would hold each plane twice
-        surface = analytic.mean_surface(deltas[:, None], phis[None, :], config.alpha)
-    else:
-        surface = analytic.MeanSurface(np.empty(shape), np.empty(shape), np.empty(shape))
-        for rows, cols in blocks:
-            for plane, part in zip(surface, analytic.mean_surface(deltas[rows, None], phis[None, cols], config.alpha)):
-                plane[rows, cols] = part
-    rows = GridTable({  # row-major: delta outer, phi inner
-        "delta_over_W": deltas[:, None],
-        "phi_rad": phis[None, :],
-        "mean_p1_over_W": surface.mean,
-        "mean_p1_single_overlap_over_W": surface.mean_single_overlap,
-        "postselect_norm": surface.norm,
-    })
-    anomalous = surface.mean > 0.0
-    count = int(np.count_nonzero(anomalous))
-    summary = [
-        f"sweep mode: {deltas.size} x {phis.size} grid, alpha={_fmt(config.alpha, '.8')} rad",
-        f"  anomalous (positive-mean) points: {count} of {surface.mean.size}"
-        f" ({100.0 * count / surface.mean.size:.1f}%)",
-    ]
-    if count:
-        imax = np.unravel_index(np.argmax(surface.mean), surface.mean.shape)
-        summary.append(
-            f"  largest anomalous mean: +{surface.mean[imax]:.6f} W at "
-            f"delta/W={deltas[imax[0]]:g}, phi={_fmt(phis[imax[1]], '.6')} rad"
-        )
-    dark = surface.norm <= DARK_THRESHOLD
-    if np.any(dark):
-        summary.append(
-            f"  dark grid points emitted as 0 (removable limit), flagged by postselect_norm <= {DARK_THRESHOLD:g}: "
-            f"{int(np.count_nonzero(dark))}"
-        )
-    return RunResult(rows, summary)
+    names = ("mean_p1_over_W", "mean_p1_single_overlap_over_W", "postselect_norm")  # MeanSurface's fields, in order
+    summary = [f"sweep mode: {deltas.size} x {phis.size} grid, alpha={_fmt(config.alpha, '.8')} rad"]
+    count = dark = largest = at = None
+
+    def surface(block: tuple[slice, slice]) -> dict[str, np.ndarray]:
+        nonlocal count, dark, largest, at
+        rows, cols = block
+        part = analytic.mean_surface(deltas[rows, None], phis[None, cols], config.alpha)
+        if rows.start == cols.start == 0:  # a walk starts
+            count, dark, largest = 0, 0, 0.0
+        count += int(np.count_nonzero(part.mean > 0.0))
+        dark += int(np.count_nonzero(part.norm <= DARK_THRESHOLD))
+        i, j = np.unravel_index(np.argmax(part.mean), part.mean.shape)
+        if part.mean[i, j] > largest:  # strict, over row-major blocks: np.argmax's first maximum
+            largest, at = part.mean[i, j], (deltas[rows][i], phis[cols][j])
+        if rows.stop >= deltas.size and cols.stop >= phis.size:
+            summary[1:] = [f"  anomalous (positive-mean) points: {count} of {len(table)}"
+                           f" ({100.0 * count / len(table):.1f}%)"]
+            if count:
+                summary.append(f"  largest anomalous mean: +{largest:.6f} W at "
+                               f"delta/W={at[0]:g}, phi={_fmt(at[1], '.6')} rad")
+            if dark:
+                summary.append("  dark grid points emitted as 0 (removable limit), flagged by postselect_norm <= "
+                               f"{DARK_THRESHOLD:g}: {dark}")
+        return dict(zip(names, part))
+
+    table = GridTable({"delta_over_W": deltas[:, None], "phi_rad": phis[None, :], **dict.fromkeys(names)}, surface)
+    return RunResult(table, summary)
 
 
 def _run_ports(config: RunConfig) -> RunResult:
@@ -583,6 +584,12 @@ def _separators(columns: list[str], fmt: str) -> tuple[list[bytes], int]:
     return between, max(1, _CHUNK_ROWS * (slots + len(columns)) // (slots + sum(map(len, between))))
 
 
+def _refuse_non_finite(columns: dict[str, np.ndarray]) -> None:
+    for name, values in columns.items():  # in order: the error names the first bad column
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
+
+
 def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None):
     """Append a table's CSV or JSON text, as UTF-8 bytes, to ``out`` (a new ``bytearray`` by default) with ``+=`` and
     return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.
@@ -590,40 +597,41 @@ def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None)
     The head goes first, then blocks of rows (whole grid rows, or a slice of one; ``_CHUNK_ROWS`` for CSV, and for
     JSON, whose rows run about twice as long, as many as pad to a CSV block's text), each one uint8 matrix: a template
     row of the separators repeated, the block's zero-padded cells assigned into its slots (an axis's as a broadcast of
-    its text, formatted once), its zero bytes dropped in one pass.  No bytes are decoded (a ``str`` of a 29 MB table,
-    and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV floats are
+    its text, formatted once; the full columns as :meth:`GridTable.full` gives them, a computed column evaluated for
+    this block and dropped with it), its zero bytes dropped in one pass.  No bytes are decoded (a ``str`` of a 29 MB
+    table, and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV floats are
     ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`, with ``%`` or
     ``repr`` itself formatting the cells its error bound cannot decide.  JSON is ``json.dumps(objects, indent=2)`` of
     the rows as objects, ``[]`` for none.  Identical inputs give identical bytes.  Floats must be finite, since JSON
-    cannot spell nan or inf, and all are checked before the first byte.
+    cannot spell nan or inf: stored columns are checked before the first byte, a computed column before its block's.
     """
     if list(columns) != list(rows.columns):
         raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.columns)}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
-    grid, shape = [rows[name] for name in columns], rows.shape
-    for name, values in zip(columns, grid):  # whole columns in order, before any byte: the error names the first bad
-        if values.dtype.kind == "f" and not np.isfinite(values).all():
-            raise ValueError(f"column {name!r} holds a non-finite value; tables must be finite")
-    floats = [k for k, values in enumerate(grid) if values.shape == shape and values.dtype.kind == "f"]
+    stored, shape = {name: rows[name] for name in columns if rows[name] is not None}, rows.shape
+    _refuse_non_finite(stored)
     axes = {}
-    for k, values in enumerate(grid):
+    for name, values in stored.items():
         if values.shape != shape:  # an axis, float64 as GridTable holds it: formatted once, in blocks, into its text
             text = np.empty(values.shape + (floatfmt.WIDTH,), np.uint8)
             for block in numeric.blocks(values.shape, _CHUNK_ROWS):
                 text[block] = _cells(values[block], fmt)
-            axes[k] = np.broadcast_to(text, shape + text.shape[-1:])
+            axes[name] = np.broadcast_to(text, shape + text.shape[-1:])
     between, block_rows = _separators(columns, fmt)
     out = bytearray() if out is None else out
     head = ",".join(columns) + "\n" if fmt == "csv" else "[\n" if len(rows) else "[]\n"
     out += head.encode("utf-8", "surrogatepass")
     blocks = numeric.blocks(shape, block_rows)
     for b, block in enumerate(blocks):
-        cells = {k: text[block] for k, text in axes.items()}
+        full = rows.full(block)
+        _refuse_non_finite({name: values for name, values in full.items() if name not in stored})
+        cells = {name: text[block] for name, text in axes.items()}
+        floats = [name for name, values in full.items() if values.dtype.kind == "f"]
         if floats:  # one call for every float column: a call per column costs wide tables dearly
-            cells.update(zip(floats, _cells(np.stack([grid[k][block] for k in floats]), fmt)))
-        cells.update((k, _cells(values[block], fmt)) for k, values in enumerate(grid) if k not in cells)
-        piece = _rows_bytes([cells.pop(k) for k in range(len(grid))], between)
+            cells.update(zip(floats, _cells(np.stack([full.pop(name) for name in floats]), fmt)))
+        cells.update((name, _cells(values, fmt)) for name, values in full.items())
+        piece = _rows_bytes([cells.pop(name) for name in columns], between)
         if fmt == "json" and b == len(blocks) - 1:  # as json.dumps: no comma after the last object
             piece[-2:] = b"\n]\n"
         out += piece
@@ -719,15 +727,19 @@ def main(argv: list[str] | None = None) -> int:
             raw, lines = {**file_raw, **raw}, {**file_lines, **lines}
         config = build_config(raw, lines)
         result = execute(config)
-        for line in result.summary:
-            print(line)
-        if config.out is not None:
+        if config.out is None:  # read the blocks unformatted: a sweep's summary folds them
+            for block in numeric.blocks(result.rows.shape, _CHUNK_ROWS):
+                result.rows.full(block)
+        else:
             try:
                 with contextlib.closing(_FileSink(config.out)) as sink:
                     write_table(result.columns, result.rows, config.format, sink)
             except ValueError as err:  # a non-finite cell, such as a NaN verify deviation: the file is not opened
                 print(f"qif-mzi: error: {err}", file=sys.stderr)
                 return 1
+        for line in result.summary:  # after the table, whose blocks a sweep's summary folds
+            print(line)
+        if config.out is not None:
             print(f"wrote {len(result.rows)} row(s) to {config.out} ({config.format})")
     except ConfigError as err:
         print(f"qif-mzi: config error: {err}", file=sys.stderr)

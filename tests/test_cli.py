@@ -209,6 +209,16 @@ def test_table_rejects_non_finite_floats(bad):
     for fmt in ("csv", "json"):
         with pytest.raises(ValueError, match="column 'a' holds a non-finite value"):
             write_table(["a", "b"], typed_table({"a": a, "b": b}), fmt)
+    # a computed column is checked block by block, before the block's bytes: the blocks before it are out
+    x = np.arange(cli._CHUNK_ROWS + 2.0)
+    table = cli.GridTable({"x": x[:, None], "z": None},
+                          lambda block: {"z": np.where(x[block[0], None] > cli._CHUNK_ROWS, bad, 0.0)})
+    out = bytearray()
+    with pytest.raises(ValueError, match="column 'z' holds a non-finite value"):
+        write_table(["x", "z"], table, "csv", out)
+    assert out.count(b"\n") == 1 + cli._CHUNK_ROWS
+    with pytest.raises(ValueError, match="computed columns needs a fill"):
+        cli.GridTable({"x": x[:, None], "z": None})
 
 
 @pytest.mark.parametrize("axis", [np.arange(3), np.array(["a", "b", "c"]), np.arange(3, dtype=np.float32)],
@@ -495,42 +505,55 @@ def test_main_peak_allocation_does_not_grow_with_the_file(fmt, tmp_path, capsys,
     assert peak <= run + 2_000_000
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_main_peak_allocation_on_the_501_sweep_stays_under_four_and_a_half_planes(fmt, tmp_path, capsys,
-                                                                                   traced_peak):
-    # the sweep's table is its two axes and three mean_surface planes, filled block by block, so main traces the
-    # planes, one evaluation block's temporaries and then one writer block's: 3.94 float64 planes of the grid for CSV
-    # and for JSON (4.05 with JSON blocks of 4096 rows), where one whole-grid mean_surface call traced 5.21
-    config = {**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}
-    out = tmp_path / f"sweep.{fmt}"
+def _main_sweep_peak(steps, fmt, out, traced_peak):
+    """main's traced peak on a ``steps`` sweep written as ``fmt`` to ``out``."""
+    config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
     _warm_floatfmt(fmt)
     code, peak = traced_peak(lambda: main([*_sweep_argv(config), "--format", fmt, "--out", str(out)]))
-    assert code == 0 and out.stat().st_size > 29_000_000
-    assert peak <= 4.5 * 8 * 501 * 501
+    assert code == 0
+    return peak
 
 
-@pytest.mark.parametrize("steps,beyond", [((501, 501), 4_000_000), ((1000, 1000), 4_000_000),
-                                          ((2, 500_000), 4_000_000), ((101, 101), 400_000)],
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_allocation_on_the_501_sweep_stays_well_under_one_plane(fmt, tmp_path, capsys, traced_peak):
+    # the writer evaluates mean_surface for each of its blocks and drops the block once its bytes are out, so main
+    # traces one block's evaluation and formatting: 1.13 MB for CSV and 1.09 MB for JSON, 0.56 and 0.54 float64
+    # planes of the grid, where holding the three planes traced 3.94
+    out = tmp_path / f"sweep.{fmt}"
+    peak = _main_sweep_peak((501, 501), fmt, out, traced_peak)
+    assert out.stat().st_size > 29_000_000
+    assert peak <= 0.65 * 8 * 501 * 501
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_allocation_does_not_grow_from_the_501_to_the_1000_sweep(fmt, capsys, traced_peak):
+    # four times the grid adds the longer axes and their text: +66 kB (CSV) and +107 kB (JSON), where one plane of
+    # the 1000 x 1000 grid is 8 MB.  The 117 MB (CSV) and 227 MB (JSON) of text go to the null device
+    peak_501 = _main_sweep_peak((501, 501), fmt, os.devnull, traced_peak)
+    peak_1000 = _main_sweep_peak((1000, 1000), fmt, os.devnull, traced_peak)
+    assert peak_1000 <= peak_501 + 250_000
+
+
+@pytest.mark.parametrize("steps", [(501, 501), (1000, 1000), (2, 500_000), (101, 101)],
                          ids=["501", "1000", "thin", "fig4"])
-def test_execute_peak_allocation_exceeds_its_table_by_at_most_4_mb(steps, beyond, traced_peak):
-    # mean_surface runs on blocks of cli._SURFACE_CELLS grid points into the table's three planes: 1.9, 2.1 and 2.9 MB
-    # beyond the table, where one whole-grid call traced 4.4, 17.2 and 33.0 MB beyond it.  A grid of one block, such
-    # as fig4's, keeps that call's planes as the table: 0.31 MB beyond it, where copying them into planes of the grid
-    # traced 0.56 MB
+def test_execute_peak_allocation_exceeds_its_table_by_at_most_4_mb(steps, traced_peak):
+    # execute holds no grid-sized array: a sweep's table is its two axes and a fill that the writer calls per block,
+    # and execute traces the axes and 8.3 to 8.5 kB besides, where the three planes it held traced 1.9 to 2.9 MB
+    # beyond them (placeholder planes, never filled, would pass a bound on the table's bytes alone)
     config = {**_SWEEP_201, "delta_over_w_steps": str(steps[0]), "phi_steps": str(steps[1])}
     result, peak = traced_peak(lambda: execute(build_config(config)))
-    held = sum(result.rows[name].nbytes for name in result.columns)
-    assert held >= 3 * 8 * math.prod(steps)
-    assert peak <= held + beyond
+    stored = [result.rows[name] for name in result.columns if result.rows[name] is not None]
+    assert [values.shape for values in stored] == [(steps[0], 1), (1, steps[1])]
+    assert peak <= sum(values.nbytes for values in stored) + 64_000
 
 
 @pytest.mark.parametrize("render,bound", [(floatfmt.e16, 10.5), (floatfmt.shortest, 11.25)], ids=["e16", "shortest"])
 def test_float_formatter_peak_allocation_per_block(render, bound, traced_peak):
-    # a writer block of the 501 x 501 sweep: 8 delta rows of its three planes, 12,024 doubles.  floatfmt frees its dead
-    # arrays and updates in place: 10.1 (e16) and 10.8 (shortest) times the input, against 16.7 and 17.7 with every
-    # intermediate alive to the end of its function; the 24-byte cells themselves are 3 times the input
-    result = execute(build_config({**_SWEEP_201, "delta_over_w_steps": "501", "phi_steps": "501"}))
-    block = np.stack([result.rows[name][200:208] for name in result.columns[2:]])
+    # a writer block of the 501 x 501 sweep: 8 delta rows of its three columns, 12,024 doubles.  floatfmt frees its
+    # dead arrays and updates in place: 10.1 (e16) and 10.8 (shortest) times the input, against 16.7 and 17.7 with
+    # every intermediate alive to the end of its function; the 24-byte cells themselves are 3 times the input
+    deltas, phis = np.linspace(0.0, 3.0, 501), np.linspace(0.0, 2 * math.pi, 501)
+    block = np.stack(analytic.mean_surface(deltas[200:208, None], phis[None, :], 0.0))
     cells, peak = traced_peak(lambda: render(block), warm=True)
     assert cells.shape == block.shape + (24,)
     assert peak <= bound * block.nbytes
@@ -567,8 +590,11 @@ def _sweep_config(delta_steps, phi_steps, delta_min=0.0, delta_span=3.0, phi_min
 
 
 def _row_major(result):
-    """A mode's table as rows of Python values, the first axis outer, whatever shape its columns are held at."""
-    columns = np.broadcast_arrays(*(result.rows[name] for name in result.columns))
+    """A mode's table as rows of Python values, the first axis outer: its axes broadcast against its full columns read
+    as one block of the whole grid, so a sweep's are one whole-grid mean_surface call's."""
+    (grid,) = numeric.blocks(result.rows.shape, len(result.rows))
+    full = result.rows.full(grid)
+    columns = np.broadcast_arrays(*(full.get(name, result.rows[name]) for name in result.columns))
     return list(zip(*(values.ravel().tolist() for values in columns)))
 
 
@@ -599,28 +625,40 @@ def test_sweep_tables_match_the_reference_of_their_row_major_expansion(config):
     _assert_bytes(write_table(result.columns, result.rows, "json"), _reference_json(result.columns, rows))
 
 
-_BUDGET = cli._SURFACE_CELLS
+def _parsed_floats(text, fmt, columns):
+    """The float columns of a written table, parsed back: the CSV's %.16e and the JSON's repr both round-trip."""
+    if fmt == "csv":
+        return np.loadtxt(io.BytesIO(text), delimiter=",", skiprows=1, ndmin=2).T
+    return np.array([[row[name] for name in columns] for row in json.loads(text)]).T
 
 
-@pytest.mark.parametrize("steps", [(3, _BUDGET - 1), (3, _BUDGET), (3, _BUDGET + 1), (2, 3 * _BUDGET + 5), (501, 501)],
-                         ids=["budget-1", "budget", "budget+1", "thin", "501"])
+@pytest.mark.parametrize("steps", [(501, 501), (2, 3 * cli._CHUNK_ROWS + 5), (101, 101), (37, 113)],
+                         ids=["501", "thin", "fig4", "short-last"])
 def test_sweep_planes_filled_in_blocks_equal_one_mean_surface_call(steps, monkeypatch):
-    # the sweep evaluates mean_surface on blocks of at most _BUDGET points, whole delta rows or slices of one (the 501
-    # rows fall into blocks of 65, the last of 46); each of its three planes must be that of one whole-grid call
-    whole_grid, shapes = analytic.mean_surface, []
+    # the writer evaluates mean_surface for each of its blocks, whole delta rows or slices of one (the thin grid's
+    # phi rows span four CSV blocks; 113 phi steps leave a short last block), once for every grid point; each cell it
+    # writes, as CSV and as JSON, must be that of one whole-grid call
+    whole_grid, sizes = analytic.mean_surface, []
+    result = execute(build_config(_sweep_config(*steps, alpha=0.4)))
+    deltas, phis = result.rows["delta_over_W"].ravel(), result.rows["phi_rad"].ravel()
+    seen = np.zeros(steps, int)
 
     def counted(delta_over_width, phi, alpha):
-        shapes.append(np.broadcast_shapes(delta_over_width.shape, phi.shape))
+        rows, cols = np.searchsorted(deltas, delta_over_width.ravel()), np.searchsorted(phis, phi.ravel())
+        assert np.array_equal(deltas[rows], delta_over_width.ravel()) and np.array_equal(phis[cols], phi.ravel())
+        seen[np.ix_(rows, cols)] += 1
+        sizes.append(rows.size * cols.size)
         return whole_grid(delta_over_width, phi, alpha)
 
     monkeypatch.setattr(analytic, "mean_surface", counted)
-    result = execute(build_config(_sweep_config(*steps, alpha=0.4)))
-    assert len(shapes) > 1 and max(map(math.prod, shapes)) <= _BUDGET
-    assert sum(map(math.prod, shapes)) == math.prod(steps)
-    expected = whole_grid(result.rows["delta_over_W"], result.rows["phi_rad"], 0.4)
-    for name, plane in zip(result.columns[2:], expected):
-        assert result.rows[name].shape == steps
-        assert np.array_equal(result.rows[name].view(np.int64), plane.view(np.int64)), name
+    expected = whole_grid(deltas[:, None], phis[None, :], 0.4)
+    for fmt in ("csv", "json"):
+        seen[:], sizes[:] = 0, []
+        text = write_table(result.columns, result.rows, fmt)
+        assert (seen == 1).all()
+        assert max(sizes) <= cli._separators(result.columns, fmt)[1]
+        for name, column, plane in zip(result.columns[2:], _parsed_floats(text, fmt, result.columns)[2:], expected):
+            assert np.array_equal(column.view(np.int64), plane.ravel().view(np.int64)), (fmt, name)
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +721,10 @@ def test_sweep_rows_and_dark_convention():
     assert dark[0][2] == 0.0 and dark[0][3] == 0.0
     # row-major emission: delta outer, phi inner
     assert [row[0] for row in rows[:5]] == [0.0] * 5
+    # each walk of the table folds its summary afresh: a second one, by the writer, gives the same lines
+    summary = list(result.summary)
+    write_table(result.columns, result.rows, "csv")
+    assert result.summary == summary and summary[1] == "  anomalous (positive-mean) points: 4 of 25 (16.0%)"
 
 
 def test_ports_mode_table():
@@ -1130,6 +1172,67 @@ def test_main_unwritable_output(capsys):
                  "--grid-points", "11", "--out", "/dev/null/sub/x.csv"])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["distributions", "sweep"])
+def test_main_failed_write_prints_its_error_and_no_summary(mode, capsys):
+    # the summary follows the table, since a sweep's folds the blocks the writer reads: a run whose file cannot be
+    # written prints the error alone
+    argv = _sweep_argv(_SWEEP_201) if mode == "sweep" else ["distributions", *_POINT, "--grid-points", "11"]
+    assert main([*argv, "--out", "/dev/null/sub/x.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("qif-mzi: error: cannot write output file")
+
+
+def test_main_sweep_without_out_prints_the_summary_it_prints_with_it(tmp_path, capsys):
+    argv = _sweep_argv({**_SWEEP_201, "delta_over_w_steps": "5", "phi_steps": "5"})
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == bare + f"wrote 25 row(s) to {out} (csv)\n"
+    assert "anomalous (positive-mean) points: 4 of 25" in bare and "postselect_norm <= 1e-12: 1" in bare
+
+
+def test_sweep_summary_names_the_first_of_equal_maxima_across_blocks(monkeypatch, capsys):
+    # np.argmax over a whole plane names its first maximum in row-major order; the fold over the blocks of a walk
+    # (two slices of each phi row here) must name the same one
+    def flat(delta_over_width, phi, alpha):
+        ones = np.ones(np.broadcast_shapes(delta_over_width.shape, phi.shape))
+        return analytic.MeanSurface(ones, ones, ones)
+
+    monkeypatch.setattr(analytic, "mean_surface", flat)
+    assert main(_sweep_argv(_sweep_config(3, cli._CHUNK_ROWS + 7, delta_min=0.5, phi_min=-1.0))) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  anomalous (positive-mean) points: 12309 of 12309 (100.0%)",
+        "  largest anomalous mean: +1.000000 W at delta/W=0.5, phi=-1.000000 rad",
+    ]
+
+
+_WHOLE_DELTA = st.floats(0.0, 1.7e308)
+_WHOLE_PHASE = st.floats(-1e308, 1e308)
+
+
+def _ordered(lo, hi):
+    return lo < hi and math.isfinite(hi - lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_WHOLE_DELTA, _WHOLE_DELTA).map(sorted).filter(lambda r: _ordered(*r)),
+       st.tuples(_WHOLE_PHASE, _WHOLE_PHASE).map(sorted).filter(lambda r: _ordered(*r)),
+       _WHOLE_PHASE, st.integers(2, 7), st.integers(2, 7))
+@example((0.0, 1.7e308), (-1e308, 7e307), 1e308, 2, 3)
+@example((1e-300, 3e-300), (0.0, 1e-300), -1e308, 3, 2)
+def test_sweep_cells_are_finite_over_the_whole_accepted_ranges(deltas, phis, alpha, delta_steps, phi_steps):
+    # the writer checks a computed block before its bytes, and a refusal after the first block would leave a
+    # truncated file: no accepted sweep may reach that check
+    config = build_config({"mode": "sweep", "delta_over_w_min": repr(deltas[0]), "delta_over_w_max": repr(deltas[1]),
+                           "delta_over_w_steps": str(delta_steps), "phi_min": repr(phis[0]), "phi_max": repr(phis[1]),
+                           "phi_steps": str(phi_steps), "alpha": repr(alpha)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _row_major(execute(config))
+    assert np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("argv", [
