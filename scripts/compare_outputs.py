@@ -103,6 +103,9 @@ def battery() -> list[tuple[str, list[str]]]:
                                        "--format", fmt]) for fmt in ("csv", "json")]
     # seed 34 draws a marginal-suite point whose DC pair is dark although N >= 1e-3
     runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (3, 34, 12345)]
+    # seeds of 1, 2, 3 and 5 32-bit words: only the last has words beyond the seeding pool of four
+    runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (0, 2**32, 2**64 + 12345, 10**40)]
+    runs.append((f"verify-seed-{10**40}.json", ["verify", "--seed", str(10**40), "--format", "json"]))
     runs += [(f"dark-probe-{k}.csv", ["distributions", *probe, "--alpha", "0"]) for k, probe in enumerate(DARK_PROBES)]
     # the packet's resolution messages: a grid too coarse for Simpson, and two that truncate a kicked branch
     runs.append(("coarse-grid.csv", ["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0",

@@ -231,9 +231,14 @@ def _parse_float(raw: str, key: str, line: int | None) -> float:
 
 
 def _parse_int(raw: str, key: str, line: int | None) -> int:
+    text = raw.strip()
     try:
-        return int(raw.strip(), 10)
+        return int(text, 10)
     except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
+        if limit and len(text) > limit:  # echo a prefix, not thousands of digits
+            raise ConfigError(f"key '{key}': cannot parse integer from {text[:20]!r}... ({len(text)} characters; "
+                              f"Python parses at most {limit} digits)", line) from None
         raise ConfigError(f"key '{key}': cannot parse integer from {raw!r}", line) from None
 
 

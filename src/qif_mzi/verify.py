@@ -2,13 +2,14 @@
 
 Each check returns a :class:`CheckResult` with the observed worst deviation
 and its tolerance; the CLI ``verify`` mode prints them and the acceptance
-tests assert them.  Random draws use a seeded generator so runs are
-reproducible and outputs byte-stable.
+tests assert them.  Random draws come from :func:`pcg64_doubles`, numpy's seeded
+default stream computed without ``numpy.random``, so outputs are byte-stable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,47 @@ class CheckResult:
         return line
 
 
-def _draw_params(rng: np.random.Generator, draws: int, delta_max: float) -> np.ndarray:
+_MASK32, _MASK64, _MASK128 = ((1 << bits) - 1 for bits in (32, 64, 128))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash: xor in a running 32-bit constant, advance it by ``mult``, multiply, fold."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        const, value = const * mult & _MASK32, value ^ const
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def pcg64_doubles(seed: int) -> Iterator[float]:
+    """The doubles of ``numpy.random.default_rng(seed).random()``, bit for bit, for any int seed >= 0: numpy's
+    SeedSequence hashes the seed's 32-bit words, least significant first, into a pool of four and expands it
+    into PCG64's 128-bit state and increment, and each double is the top 53 bits of one XSL-RR 128/64 output
+    (O'Neill, "PCG", HMC-CS-2014-0905)."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    # the pool's four hashed words mix into one another, then each word beyond the pool into all four
+    cells = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)] + entropy[4:]
+    for src, dst in [(src, dst) for src in range(len(cells)) for dst in range(4) if src != dst]:
+        mixed = (0xCA01F9DD * cells[dst] - 0x4973F715 * hashmix(cells[src])) & _MASK32
+        cells[dst] = mixed ^ mixed >> 16
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [hashmix(cells[i % 4]) for i in range(8)]  # generate_state(4, uint64), each uint64 low word first
+    state, seq = (words[i + 1] << 96 | words[i] << 64 | words[i + 3] << 32 | words[i + 2] for i in (0, 4))
+    inc = (seq << 1 | 1) & _MASK128
+    state = ((inc + state) * _PCG_MULT + inc) & _MASK128  # a step from 0, add the seeded state, a step
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        yield (((word >> rot | word << 64 - rot) & _MASK64) >> 11) * 2.0**-53
+
+
+def _draw_params(stream: Iterator[float], draws: int, delta_max: float) -> np.ndarray:
     """Uniform draws of (r, phi, alpha, delta) in [0, 1) x [0, 2 pi)^2 x [0, delta_max), one row each."""
-    return np.array([1.0, 2.0 * math.pi, 2.0 * math.pi, delta_max]) * rng.random((draws, 4))
+    uniforms = np.reshape([next(stream) for _ in range(4 * draws)], (draws, 4))
+    return np.array([1.0, 2.0 * math.pi, 2.0 * math.pi, delta_max]) * uniforms
 
 
 def check_marginal_oracle(draws: int, seed: int) -> CheckResult:
@@ -54,15 +93,15 @@ def check_marginal_oracle(draws: int, seed: int) -> CheckResult:
     Draws exclude dark and near-dark selections (norm < 1e-3), where the
     normalised comparison is ill-conditioned rather than wrong.
     """
-    rng = np.random.default_rng(seed)
+    stream = pcg64_doubles(seed)
     grid = numeric.default_grid(1.0, n=numeric.DEFAULT_JOINT_POINTS)
     deviations = []
     for _ in range(draws):
         while True:
-            params = InterferometerParams(*_draw_params(rng, 1, delta_max=3.0)[0].tolist(), width=1.0)
+            params = InterferometerParams(*_draw_params(stream, 1, delta_max=3.0)[0].tolist(), width=1.0)
             if analytic.postselect_norm(params) >= 1e-3:
                 break
-        electron = 1 if rng.uniform() < 0.5 else 2
+        electron = 1 if next(stream) < 0.5 else 2
         oracle = numeric.joint_marginal_oracle(params, electron, grid)
         closed = analytic.marginal_density(params, electron, grid.points, normalized=True)
         deviations.append(np.max(np.abs(oracle.values - closed)))
@@ -95,7 +134,7 @@ def check_momentum_kick(n_points: int = numeric.DEFAULT_KICK_POINTS) -> list[Che
 
 def check_port_sums(draws: int, seed: int) -> list[CheckResult]:
     """Unitarity, the unconditioned momentum balance, and portwise negation, over all draws at once."""
-    r, phi, alpha, delta = _draw_params(np.random.default_rng(seed), draws, delta_max=4.0).T
+    r, phi, alpha, delta = _draw_params(pcg64_doubles(seed), draws, delta_max=4.0).T
     ports = analytic.port_states(r, phi, alpha, delta)
     kick = delta[:, None]
     flux1, flux2 = ports.flux(-kick), ports.flux(kick)

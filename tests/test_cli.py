@@ -1318,6 +1318,22 @@ def test_main_malformed_command_line_is_a_config_error(argv, message, capsys):
     assert captured.out == ""
 
 
+def test_main_seed_beyond_the_integer_digit_limit_is_a_short_config_error(tmp_path, capsys):
+    # a non-negative seed of any length is valid by the key's rule, but int() parses at most
+    # sys.get_int_max_str_digits() digits: the error names that limit and echoes only a prefix
+    limit = sys.get_int_max_str_digits()
+    seed = "1234567890" * (limit // 10 + 70)
+    message = (f"key 'seed': cannot parse integer from '12345678901234567890'... ({len(seed)} characters; "
+               f"Python parses at most {limit} digits)")
+    assert main(["verify", "--seed", seed]) == 2
+    assert capsys.readouterr() == ("", f"qif-mzi: config error: {message}\n")
+    config = tmp_path / "verify.cfg"
+    config.write_text(f"mode = verify\nseed = {seed}\n")
+    assert main(["--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"qif-mzi: config error: line 2: {message}\n")
+    assert parse_config(f"mode = verify\nseed = {seed[:limit]}\n").seed == int(seed[:limit])
+
+
 def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"mode = ports\n\xff\xfe\n")
