@@ -112,6 +112,14 @@ def battery() -> list[tuple[str, list[str]]]:
                                      "--grid-points", "11"]))
     runs += [(f"truncated-{mode}.csv", [mode, "--delta-over-w", kick, "--phi", "0.75pi", "--alpha", "0"])
              for mode, kick in (("distributions", "10"), ("decompose", "4"))]
+    # runs that stop before a mode's modules load, and the design's config errors, raised in RunConfig.design
+    # after it imports experiment: exit 2 and no table
+    design = ["--config", str(REPO / "configs" / "design.cfg")]
+    runs.append(("help", ["--help"]))
+    runs += [(f"{name}.csv", argv) for name, argv in (
+        ("unknown-mode", ["nosuchmode"]), ("verify-seed-negative", ["verify", "--seed", "-1"]),
+        ("design-speed-1e300", [*design, "--speed-m-per-s", "1e300"]),
+        ("design-separation-1e-300", [*design, "--separation-m", "1e-300"]))]
     return runs
 
 

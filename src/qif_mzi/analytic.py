@@ -23,7 +23,9 @@ The post-selected mean of electron 1,
     N    = 1 + cos^2(phi) + 2 cos(phi) cos(alpha) I^2 ,
 
 is positive (momentum toward the other electron, i.e. effective attraction)
-exactly where cos(phi) < 0 and cos(alpha) I^2 > |cos(phi)|.
+exactly where cos(phi) (cos(phi) + cos(alpha) I^2) < 0: where cos(phi) lies
+strictly between 0 and -cos(alpha) I^2, below 0 when cos(alpha) > 0 and
+above 0 when cos(alpha) < 0.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, experiment, floatfmt, numeric, verify
+from . import analytic, floatfmt, numeric
 from .core import (
     BALANCED_R,
     AliasingError,
@@ -33,6 +33,9 @@ from .core import (
     InterferometerParams,
     PortPair,
 )
+
+if typing.TYPE_CHECKING:  # RunConfig.design's annotation; design runs import it on first use
+    from . import experiment
 
 __all__ = ["RunConfig", "RunResult", "typed_table", "GridTable", "parse_config", "execute", "write_table", "main",
            "app"]
@@ -121,6 +124,8 @@ class RunConfig:
     @cached_property
     def design(self) -> tuple[experiment.DerivedSetup, experiment.TuneResult]:
         """The SI setup and its 2 pi tuning; ValueError names a quantity outside the double or int64 range."""
+        from . import experiment  # only design runs load it
+
         inputs = experiment.ExperimentInputs(
             separation=self.separation_m,
             length=self.length_m,
@@ -212,6 +217,11 @@ class GridTable:
                 for name, values in self.columns.items() if values is None or values.shape == self.shape}
 
 
+def _excerpt(raw: str) -> str:
+    """``raw`` quoted for an error message: whole up to 20 characters, else its first 20 and its length."""
+    return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}... ({len(raw)} characters)"
+
+
 def _parse_float(raw: str, key: str, line: int | None) -> float:
     text = raw.strip()
     head, factor = text, 1.0
@@ -224,9 +234,9 @@ def _parse_float(raw: str, key: str, line: int | None) -> float:
     try:
         value = float(head)
     except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse number from {raw!r}", line) from None
+        raise ConfigError(f"key '{key}': cannot parse number from {_excerpt(raw)}", line) from None
     if not math.isfinite(value * factor):
-        raise ConfigError(f"key '{key}': value {raw!r} is not finite", line)
+        raise ConfigError(f"key '{key}': value {_excerpt(raw)} is not finite", line)
     return value * factor
 
 
@@ -516,6 +526,8 @@ def _run_design(config: RunConfig) -> RunResult:
 
 
 def _run_verify(config: RunConfig) -> RunResult:
+    from . import verify  # only verify runs load it
+
     checks = verify.run_all(config.seed)
     rows = typed_table({"check": [c.name for c in checks], "max_deviation": [c.max_deviation for c in checks],
                         "tolerance": [c.tolerance for c in checks], "passed": [int(c.passed) for c in checks]})

@@ -249,6 +249,22 @@ def test_mean_surface_dark_point_convention():
     assert surface.mean_single_overlap[0] == 0.0
 
 
+def test_attraction_at_positive_cos_phi_where_cos_alpha_is_negative():
+    # alpha = 2, delta/W = 0.5: cos(alpha) I^2 = -0.367, and cos(phi) = +0.2004 lies between 0 and +0.367
+    assert math.cos(1.369) > 0.0
+    assert float(analytic.mean_surface(0.5, 1.369, 2.0).mean) == pytest.approx(0.018722, abs=1e-6)
+
+
+@given(st.floats(0.01, 4.0), st.floats(0.0, 2.0 * math.pi), st.floats(-100.0, 100.0))
+def test_mean_sign_is_the_sign_of_minus_c_times_c_plus_g(delta_over_width, phi, alpha):
+    # <p1> = -delta c (c + g) / N with c = cos(phi), g = cos(alpha) I^2 and N > 0: attraction exactly where
+    # c (c + g) < 0, for every alpha
+    c = math.cos(phi)
+    product = c * (c + math.cos(alpha) * math.exp(-delta_over_width**2 / 2.0))
+    if abs(product) > 1e-9:
+        assert np.sign(analytic.mean_surface(delta_over_width, phi, alpha).mean) == np.sign(-product)
+
+
 # ---------------------------------------------------------------------------
 # exit-port algebra
 # ---------------------------------------------------------------------------

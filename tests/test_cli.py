@@ -397,6 +397,28 @@ def test_json_tables_leave_numpy_ma_unimported():
     assert after == before
 
 
+_LOADED_BY_EVERY_MODE = ["qif_mzi.analytic", "qif_mzi.cli", "qif_mzi.core", "qif_mzi.floatfmt", "qif_mzi.numeric"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--config", str(REPO / "configs" / "fig2a.cfg")], []),
+    (["--config", str(REPO / "configs" / "fig3.cfg")], []),
+    (["--config", str(REPO / "configs" / "fig4.cfg")], []),
+    (["ports", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0"], []),
+    (["--config", str(REPO / "configs" / "design.cfg")], ["qif_mzi.experiment"]),
+    (["--config", str(REPO / "configs" / "verify.cfg")], ["qif_mzi.verify"]),
+], ids=["distributions", "decompose", "sweep", "ports", "design", "verify"])
+def test_each_mode_loads_only_the_submodules_it_uses(argv, extra, tmp_path):
+    # every process compiles what it imports, about 70 bytes resident per source byte: experiment and verify
+    # load only in the modes that call them
+    code = ("import sys; from qif_mzi.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(name for name in sys.modules if name.startswith('qif_mzi.'))); sys.exit(code)")
+    child = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "table.csv")],
+                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == repr(sorted(_LOADED_BY_EVERY_MODE + extra))
+
+
 def test_main_writes_through_the_module_attribute_write_table(monkeypatch, tmp_path):
     # the benchmark times cli.write_table by wrapping that attribute: main must look it up there
     calls = []
@@ -1332,6 +1354,18 @@ def test_main_seed_beyond_the_integer_digit_limit_is_a_short_config_error(tmp_pa
     assert main(["--config", str(config)]) == 2
     assert capsys.readouterr() == ("", f"qif-mzi: config error: line 2: {message}\n")
     assert parse_config(f"mode = verify\nseed = {seed[:limit]}\n").seed == int(seed[:limit])
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("1" * 5000, "value '11111111111111111111'... (5000 characters) is not finite"),
+    ("x" * 5000, "cannot parse number from 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    ("1" * 400 + "pi", "value '11111111111111111111'... (402 characters) is not finite"),
+    ("1e999".zfill(20), "value '0000000000000001e999' is not finite"),  # 20 characters: echoed whole
+], ids=["not-finite", "unparsable", "not-finite-pi", "prefix-length"])
+def test_main_overlong_float_is_a_short_config_error(value, problem, capsys):
+    # float() parses a value of any length: both errors echo a 20-character prefix and the length, not the value
+    assert main([*_PORTS, "--phi", value]) == 2
+    assert capsys.readouterr() == ("", f"qif-mzi: config error: key 'phi': {problem}\n")
 
 
 def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
