@@ -91,6 +91,9 @@ def battery() -> list[tuple[str, list[str]]]:
                                        "--phi-steps", "501", "--alpha", "0"]))
     # an explicit 2 pi multiple, where the preset lets the tuning pick the nearest one
     runs.append(("design-tune-5.csv", ["--config", str(REPO / "configs" / "design.cfg"), "--tune-target-n", "5"]))
+    # beams 20 um apart for a metre: four validity checks print FAIL and write a pass cell of 0
+    runs += [(f"design-checks-fail.{fmt}", ["--config", str(REPO / "configs" / "design.cfg"), "--separation-m", "2e-5",
+                                            "--length-m", "1", "--format", fmt]) for fmt in ("csv", "json")]
     runs.append(("ports.csv", ["ports", *POINT]))
     runs += [(f"distributions-{port}.csv", ["distributions", "--port", port, *POINT])
              for port in ("cc", "cd", "dc", "dd")]

@@ -22,7 +22,7 @@ _EXPORTS = {name: module for module, names in (
     ("core", "BALANCED_R DARK_THRESHOLD AliasingError ConfigError DarkPortError GaussianPacket GridError "
              "GridSpanError InterferometerParams PortPair kick_sign"),
     ("experiment", "CODATA2018 DerivedSetup ExperimentInputs PhysicalConstants TuneResult ValidityCheck "
-                   "derive_setup free_spread_width separation_for_alpha to_model tune_separation"),
+                   "derive_setup free_spread_width separation_for_alpha tune_separation"),
     ("numeric", "Distribution1D KickOracleResult MomentumGrid default_grid joint_marginal_oracle kernel_purity "
                 "momentum_kick_oracle"),
 ) for name in names.split()}

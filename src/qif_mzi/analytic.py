@@ -299,7 +299,7 @@ def port_mean_momenta(params: InterferometerParams, electron: int) -> dict[PortP
     return {port: None if prob <= DARK_THRESHOLD else mean for port, prob, mean in zip(PortPair, probs, means)}
 
 
-def port_marginal_density(params: InterferometerParams, port: PortPair, electron: int, p, normalized: bool = True):
+def port_marginal_density(params: InterferometerParams, port: PortPair, electron: int, p):
     """Momentum density of one electron conditioned on an arbitrary exit-port pair.
 
     Conditioning on DC reproduces the normalised :func:`marginal_density` to
@@ -310,7 +310,7 @@ def port_marginal_density(params: InterferometerParams, port: PortPair, electron
     """
     state = port_amplitudes(params)[port]
     dark = f"post-selected probability vanishes (P({port.name}) = {{norm:.3e}}); density undefined"
-    return _density(state, params, electron, p, normalized, dark)
+    return _density(state, params, electron, p, normalized=True, dark=dark)
 
 
 class EhrenfestBalance(NamedTuple):

@@ -126,13 +126,8 @@ class RunConfig:
         """The SI setup and its 2 pi tuning; ValueError names a quantity outside the double or int64 range."""
         from . import experiment  # only design runs load it
 
-        inputs = experiment.ExperimentInputs(
-            separation=self.separation_m,
-            length=self.length_m,
-            speed=self.speed_m_per_s,
-            waist_transverse=self.waist_transverse_m,
-            waist_longitudinal=self.waist_longitudinal_m,
-        )
+        # the design keys, in table order, are ExperimentInputs' fields in order, each with its unit as a suffix
+        inputs = experiment.ExperimentInputs(*(getattr(self, key) for key in _mode_keys("design", "required")))
         setup = experiment.derive_setup(inputs)
         tuned = experiment.tune_separation(setup, self.tune_target_n)
         if tuned.n_multiple > INT64_MAX:
@@ -245,18 +240,18 @@ def _parse_int(raw: str, key: str, line: int | None) -> int:
     try:
         return int(text, 10)
     except ValueError:
+        echo = _excerpt(raw)
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
-        if limit and len(text) > limit:  # echo a prefix, not thousands of digits
-            raise ConfigError(f"key '{key}': cannot parse integer from {text[:20]!r}... ({len(text)} characters; "
-                              f"Python parses at most {limit} digits)", line) from None
-        raise ConfigError(f"key '{key}': cannot parse integer from {raw!r}", line) from None
+        if limit and len(text) > limit:  # past the limit (>= 640 digits) the excerpt ends "(N characters)"
+            echo = f"{echo[:-1]}; Python parses at most {limit} digits)"
+        raise ConfigError(f"key '{key}': cannot parse integer from {echo}", line) from None
 
 
 def _enter(raw: dict[str, str], lines: dict[str, int | None], key: str, value: str, line: int | None) -> None:
     """Enter one key and its value, from a file line or (``line`` None) a flag: unknown, repeated and empty
     keys are refused by this one rule for both."""
     if key not in _KEYS:
-        raise ConfigError(f"unknown key '{key}'", line)
+        raise ConfigError(f"unknown key {_excerpt(key)}", line)
     if key in raw:
         first = "" if lines[key] is None else f" (first set on line {lines[key]})"
         raise ConfigError(f"duplicate key '{key}'{first}", line)
@@ -274,7 +269,7 @@ def parse_config_text(text: str) -> tuple[dict[str, str], dict[str, int | None]]
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"expected 'key = value', got {original.strip()!r}", lineno)
+            raise ConfigError(f"expected 'key = value', got {_excerpt(original.strip())}", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
         _enter(raw, lines, key, value, lineno)
     return raw, lines
@@ -290,7 +285,7 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
         )
     mode = raw["mode"].strip().lower()
     if mode not in MODES:
-        raise ConfigError(f"unknown mode {raw['mode']!r}; expected one of {', '.join(MODES)}", where("mode"))
+        raise ConfigError(f"unknown mode {_excerpt(raw['mode'])}; expected one of {', '.join(MODES)}", where("mode"))
 
     allowed = {"mode", *_mode_keys(mode, "required", "optional")}
     for key in raw:
@@ -317,7 +312,8 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
         value = getattr(config, key)
         for predicate, requirement in f.metadata["checks"]:
             if value is not None and not predicate(value):
-                raise ConfigError(f"key '{key}': {requirement}, got {value!r}", where(key))
+                shown = _excerpt(value) if isinstance(value, str) else repr(value)
+                raise ConfigError(f"key '{key}': {requirement}, got {shown}", where(key))
     for lo_key, hi_key in (("delta_over_w_min", "delta_over_w_max"), ("phi_min", "phi_max")):
         lo, hi = getattr(config, lo_key), getattr(config, hi_key)
         if lo is not None and hi is not None and not (lo < hi and math.isfinite(hi - lo)):  # floats: inf, no warning
@@ -485,44 +481,38 @@ def _run_ports(config: RunConfig) -> RunResult:
 
 
 def _run_design(config: RunConfig) -> RunResult:
+    """The SI inputs, then each derived quantity once: its column, its value and its summary line (None: no line)."""
     setup, tuned = config.design
-    cells = [(key, getattr(config, key)) for key in _mode_keys("design", "required")] + [
-        ("transit_time_s", setup.transit_time),
-        ("force_N", setup.force),
-        ("delta_kg_m_per_s", setup.delta),
-        ("width_W_kg_m_per_s", setup.momentum_width),
-        ("delta_over_W", setup.delta_over_width),
-        ("alpha_rad", setup.alpha),
-        ("alpha_over_pi", setup.alpha / math.pi),
-        ("fringe_spacing_m", setup.fringe_spacing),
-        ("longitudinal_spread_m", setup.longitudinal_spread),
-        ("transverse_spread_m", setup.transverse_spread),
-        ("transverse_spread_relative", setup.transverse_spread_relative),
-        ("kinetic_scale_J", setup.kinetic_scale),
-        ("potential_scale_J", setup.potential_scale),
-        ("tuned_multiple_2pi", tuned.n_multiple),
-        ("tuned_separation_m", tuned.separation),
-        ("tuned_alpha_rad", tuned.setup.alpha),
+    derived = [
+        ("transit_time_s", setup.transit_time, f"transit time           {setup.transit_time:.6e} s"),
+        ("force_N", setup.force, f"coulomb force          {setup.force:.6e} N"),
+        ("delta_kg_m_per_s", setup.delta, f"momentum kick delta    {setup.delta:.6e} kg m/s"),
+        ("width_W_kg_m_per_s", setup.momentum_width, f"momentum width W       {setup.momentum_width:.6e} kg m/s"),
+        ("delta_over_W", setup.delta_over_width, f"delta / W              {_fmt(setup.delta_over_width, '.4')}"),
+        ("alpha_rad", setup.alpha,
+         f"alpha                  {_fmt(setup.alpha, '.4')} rad = {_fmt(setup.alpha / math.pi, '.4')} pi"),
+        ("alpha_over_pi", setup.alpha / math.pi, None),
+        ("fringe_spacing_m", setup.fringe_spacing, f"fringe spacing h/delta {setup.fringe_spacing:.4e} m"),
+        ("longitudinal_spread_m", setup.longitudinal_spread,
+         f"longitudinal spread    {setup.longitudinal_spread:.4e} m"),
+        ("transverse_spread_m", setup.transverse_spread, None),
+        ("transverse_spread_relative", setup.transverse_spread_relative,
+         f"transverse growth      {setup.transverse_spread_relative:.4e} (relative)"),
+        ("kinetic_scale_J", setup.kinetic_scale, f"kinetic scale          {setup.kinetic_scale:.4e} J"),
+        ("potential_scale_J", setup.potential_scale, f"potential scale        {setup.potential_scale:.4e} J"),
+        ("tuned_multiple_2pi", tuned.n_multiple, None),
+        ("tuned_separation_m", tuned.separation,
+         f"tuned separation       {_fmt(tuned.separation * 1e3, '.4')} mm gives |alpha| = {tuned.n_multiple} x 2 pi"),
+        ("tuned_alpha_rad", tuned.setup.alpha, None),
     ]
     for check in setup.validity:
-        cells += [(f"check_{check.name}_ratio", check.ratio), (f"check_{check.name}_pass", int(check.passed))]
-    summary = [
-        "design mode: SI setup -> dimensionless model",
-        f"  transit time           {setup.transit_time:.6e} s",
-        f"  coulomb force          {setup.force:.6e} N",
-        f"  momentum kick delta    {setup.delta:.6e} kg m/s",
-        f"  momentum width W       {setup.momentum_width:.6e} kg m/s",
-        f"  delta / W              {_fmt(setup.delta_over_width, '.4')}",
-        f"  alpha                  {_fmt(setup.alpha, '.4')} rad = {_fmt(setup.alpha / math.pi, '.4')} pi",
-        f"  fringe spacing h/delta {setup.fringe_spacing:.4e} m",
-        f"  longitudinal spread    {setup.longitudinal_spread:.4e} m",
-        f"  transverse growth      {setup.transverse_spread_relative:.4e} (relative)",
-        f"  kinetic scale          {setup.kinetic_scale:.4e} J",
-        f"  potential scale        {setup.potential_scale:.4e} J",
-        f"  tuned separation       {_fmt(tuned.separation * 1e3, '.4')} mm gives |alpha| = {tuned.n_multiple} x 2 pi",
-    ]
-    summary += ["  " + check.describe() for check in setup.validity]
-    return RunResult(typed_table({name: [value] for name, value in cells}), summary)
+        derived += [(f"check_{check.name}_ratio", check.ratio, None),
+                    (f"check_{check.name}_pass", int(check.passed), check.describe())]
+    cells = {key: [getattr(config, key)] for key in _mode_keys("design", "required")}
+    cells.update((name, [value]) for name, value, _ in derived)
+    summary = ["design mode: SI setup -> dimensionless model"]
+    summary += ["  " + line for *_, line in derived if line is not None]
+    return RunResult(typed_table(cells), summary)
 
 
 def _run_verify(config: RunConfig) -> RunResult:

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .core import BALANCED_R, InterferometerParams
-
 __all__ = [
     "PhysicalConstants",
     "CODATA2018",
@@ -41,7 +39,6 @@ __all__ = [
     "TuneResult",
     "separation_for_alpha",
     "tune_separation",
-    "to_model",
 ]
 
 
@@ -222,14 +219,3 @@ def tune_separation(setup: DerivedSetup, n: int | None = None) -> TuneResult:
     except ValueError as err:
         raise ValueError(f"at the tuned separation {separation:g} m, {err}") from None
     return TuneResult(separation, int(n), tuned)
-
-
-def to_model(setup: DerivedSetup, phi: float) -> InterferometerParams:
-    """Bridge a physical setup into the dimensionless engine, at a balanced splitter and in units of W.
-
-    Preserves delta/W and alpha (the engines only consume cos alpha, so the
-    stored sign is inert but traceable).  In the physical setup delta and
-    alpha are coupled through d and t; the model treats them as independent
-    knobs.
-    """
-    return InterferometerParams(r=BALANCED_R, phi=phi, alpha=setup.alpha, delta=setup.delta_over_width)

@@ -41,6 +41,7 @@ from .core import (
     GridError,
     GridSpanError,
     InterferometerParams,
+    kick_sign,
 )
 
 __all__ = [
@@ -201,6 +202,7 @@ def joint_marginal_oracle(
     Simpson contracts the whole plane in one product, since BLAS orders its sums by the matrix
     shape and a product per block would change the marginal's last bits.
     """
+    kick_sign(electron)  # refuses an electron other than 1 or 2 before any plane is built
     if grid is None:
         grid = default_grid(params.width, n=DEFAULT_JOINT_POINTS)
     base = params.packet()
@@ -229,12 +231,7 @@ def joint_marginal_oracle(
         re += im
 
     w = grid.simpson_weights()
-    if electron == 1:
-        marginal = density2d @ w
-    elif electron == 2:
-        marginal = w @ density2d
-    else:
-        raise ValueError(f"electron index must be 1 or 2, got {electron!r}")
+    marginal = density2d @ w if electron == 1 else w @ density2d
     total = grid.integrate(marginal)
     if total <= DARK_THRESHOLD:
         raise DarkPortError("post-selected probability vanishes on the grid; marginal undefined")

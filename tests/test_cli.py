@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -1314,6 +1316,73 @@ def test_main_summary_numbers_switch_to_scientific_from_1e9(argv, line, capsys):
     assert all(len(text) < 120 for text in lines)
 
 
+_DESIGN_SUMMARY = """\
+design mode: SI setup -> dimensionless model
+  transit time           2.000000e-08 s
+  coulomb force          5.767694e-23 N
+  momentum kick delta    1.153539e-30 kg m/s
+  momentum width W       5.272859e-30 kg m/s
+  delta / W              0.2188
+  alpha                  -21.8769 rad = -6.9636 pi
+  fringe spacing h/delta 5.7441e-04 m
+  longitudinal spread    5.7918e-06 m
+  transverse growth      6.7008e-05 (relative)
+  kinetic scale          6.1043e-29 J
+  potential scale        5.7677e-28 J
+  tuned separation       2.3212 mm gives |alpha| = 3 x 2 pi
+  PASS separation_to_extent: ratio 200 >= 100
+  PASS potential_to_kinetic: ratio 9.449 >= 5
+  PASS fringe_to_beam: ratio 57.44 >= 10
+  PASS linearization_error: ratio 2.5e-05 <= 0.001
+  PASS transverse_spread: ratio 6.701e-05 <= 0.001
+"""
+
+_DESIGN_HEADER = (
+    "separation_m,length_m,speed_m_per_s,waist_transverse_m,waist_longitudinal_m,transit_time_s,force_N,"
+    "delta_kg_m_per_s,width_W_kg_m_per_s,delta_over_W,alpha_rad,alpha_over_pi,fringe_spacing_m,"
+    "longitudinal_spread_m,transverse_spread_m,transverse_spread_relative,kinetic_scale_J,potential_scale_J,"
+    "tuned_multiple_2pi,tuned_separation_m,tuned_alpha_rad,"
+    "check_separation_to_extent_ratio,check_separation_to_extent_pass,"
+    "check_potential_to_kinetic_ratio,check_potential_to_kinetic_pass,check_fringe_to_beam_ratio,"
+    "check_fringe_to_beam_pass,check_linearization_error_ratio,check_linearization_error_pass,"
+    "check_transverse_spread_ratio,check_transverse_spread_pass"
+)
+
+
+def test_main_design_preset_summary_and_columns(tmp_path, capsys):
+    # the preset's whole stdout, and its table's columns in order: the inputs, the derived cells, two per check
+    assert main(_DESIGN_ARGV) == 0
+    assert capsys.readouterr() == (_DESIGN_SUMMARY, "")
+    out = tmp_path / "design.csv"
+    assert main([*_DESIGN_ARGV, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == _DESIGN_SUMMARY + f"wrote 1 row(s) to {out} (csv)\n"
+    header = out.read_text().splitlines()[0]
+    assert header == _DESIGN_HEADER and len(header.split(",")) == 31
+
+
+def test_main_design_with_failing_checks_prints_fail_and_writes_zero(tmp_path, capsys):
+    # beams 20 um apart for a metre: only the potential-to-kinetic check still passes
+    out = tmp_path / "design.csv"
+    assert main([*_DESIGN_ARGV, "--separation-m", "2e-5", "--length-m", "1", "--out", str(out)]) == 0
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  FAIL ")]
+    failing = ("separation_to_extent", "fringe_to_beam", "linearization_error", "transverse_spread")
+    assert [line.split()[1] for line in fails] == [f"{name}:" for name in failing]
+    with out.open() as handle:
+        (row,) = csv.DictReader(handle)
+    for name in (*failing, "potential_to_kinetic"):
+        assert row[f"check_{name}_pass"] == str(int(name not in failing))
+
+
+def test_design_keys_are_experiment_inputs_fields_in_order():
+    # RunConfig.design passes the design keys' values to ExperimentInputs by position
+    from qif_mzi.experiment import ExperimentInputs
+
+    names = [f.name for f in dataclasses.fields(ExperimentInputs)]
+    keys = cli._mode_keys("design", "required")
+    assert len(names) == len(keys)
+    assert all(key.startswith(name + "_") for name, key in zip(names, keys))
+
+
 _PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]
 
 
@@ -1368,6 +1437,21 @@ def test_main_overlong_float_is_a_short_config_error(value, problem, capsys):
     assert capsys.readouterr() == ("", f"qif-mzi: config error: key 'phi': {problem}\n")
 
 
+_LONG = 3000  # characters of user text that an error echoes as its first 20 and its length
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["m" * _LONG], f"unknown mode {'m' * 20!r}... ({_LONG} characters); expected one of " + ", ".join(cli.MODES)),
+    ([*_PORTS, "--phi", "1", "--" + "k" * _LONG], f"unknown key {'--' + 'k' * 18!r}... ({_LONG + 2} characters)"),
+    ([*_PORTS, "--phi", "1", "--format", "j" * _LONG],
+     f"key 'format': expected csv or json, got {'j' * 20!r}... ({_LONG} characters)"),
+    (["verify", "--seed", "x" * _LONG], f"key 'seed': cannot parse integer from {'x' * 20!r}... ({_LONG} characters)"),
+], ids=["mode", "key", "format", "integer"])
+def test_main_overlong_text_is_a_short_config_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"qif-mzi: config error: {message}\n")
+
+
 def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"mode = ports\n\xff\xfe\n")
@@ -1381,6 +1465,10 @@ def test_main_config_file_faults_are_config_errors(tmp_path, capsys):
     bare.write_text("mode = ports\nphi\n")
     assert main(["--config", str(bare)]) == 2
     assert capsys.readouterr().err == "qif-mzi: config error: line 2: expected 'key = value', got 'phi'\n"
+    bare.write_text(f"mode = ports\n{'x' * _LONG}\n")
+    assert main(["--config", str(bare)]) == 2
+    message = f"line 2: expected 'key = value', got {'x' * 20!r}... ({_LONG} characters)"
+    assert capsys.readouterr() == ("", f"qif-mzi: config error: {message}\n")
 
 
 def test_main_reads_a_config_file_as_utf8_in_any_locale(tmp_path):

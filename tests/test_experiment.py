@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from qif_mzi import (
     CODATA2018,
-    BALANCED_R,
     ExperimentInputs,
     derive_setup,
     free_spread_width,
     separation_for_alpha,
-    to_model,
     tune_separation,
 )
 
@@ -149,16 +147,6 @@ def test_tuned_alpha_is_a_clean_multiple(separation):
 
 def test_derive_setup_is_deterministic():
     assert derive_setup(BASELINE) == derive_setup(BASELINE)
-
-
-def test_bridge_to_model():
-    setup = derive_setup(BASELINE)
-    params = to_model(setup, phi=0.75 * math.pi)
-    assert params.r == BALANCED_R
-    assert params.delta_over_width == setup.delta_over_width
-    assert params.alpha == setup.alpha
-    assert math.cos(params.alpha) == math.cos(setup.alpha)
-    assert params.width == 1.0
 
 
 def test_readme_library_example_runs():

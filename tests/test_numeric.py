@@ -294,9 +294,17 @@ def test_oracle_dark_port_raises():
         kernel_purity(np.zeros_like(branches.coefficients()), basis)
 
 
-def test_oracle_refuses_an_electron_other_than_1_or_2():
+def test_oracle_refuses_an_electron_other_than_1_or_2(traced_peak):
     with pytest.raises(ValueError, match="electron index must be 1 or 2, got 3"):
         joint_marginal_oracle(HEADLINE, 3, MomentumGrid(-8.0, 8.0, 129))
+
+    def refused():
+        with pytest.raises(ValueError, match="electron index must be 1 or 2, got 0"):
+            joint_marginal_oracle(HEADLINE, 0, MomentumGrid(-8.0, 8.0, 513))
+
+    # refused before any allocation: at n = 513 the plane is 2.1 MB and each block buffer 128 KiB
+    _, peak = traced_peak(refused)
+    assert peak < 100_000
 
 
 def test_port_norm_oracle_matches_closed_probability():

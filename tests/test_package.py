@@ -10,7 +10,8 @@ import qif_mzi
 
 REPO = Path(__file__).resolve().parent.parent
 
-# the names ``from qif_mzi import *`` gave when the package imported its submodules eagerly
+# the names ``from qif_mzi import *`` gave when the package imported its submodules eagerly, less the deleted
+# ``to_model``
 PUBLIC_NAMES = {
     "AliasingError", "BALANCED_R", "CODATA2018", "ConfigError", "DARK_THRESHOLD", "DarkPortError", "DerivedSetup",
     "Distribution1D", "EhrenfestBalance", "ExperimentInputs", "GaussianPacket", "GridError", "GridSpanError",
@@ -19,7 +20,7 @@ PUBLIC_NAMES = {
     "experiment", "free_spread_width", "joint_marginal_oracle", "kernel_purity", "kick_sign", "marginal_density",
     "mean_postselected", "mean_postselected_packet_overlap", "mean_surface", "momentum_kick_oracle", "numeric",
     "port_amplitudes", "port_marginal_density", "port_mean_momenta", "port_probabilities", "postselect_norm",
-    "reduced_state", "separation_for_alpha", "term_decomposition", "to_model", "tune_separation",
+    "reduced_state", "separation_for_alpha", "term_decomposition", "tune_separation",
 }
 
 
