@@ -110,9 +110,9 @@ def battery() -> list[tuple[str, list[str]]]:
     runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (0, 2**32, 2**64 + 12345, 10**40)]
     runs.append((f"verify-seed-{10**40}.json", ["verify", "--seed", str(10**40), "--format", "json"]))
     runs += [(f"dark-probe-{k}.csv", ["distributions", *probe, "--alpha", "0"]) for k, probe in enumerate(DARK_PROBES)]
-    # the packet's resolution messages: a grid too coarse for Simpson, and two that truncate a kicked branch
-    runs.append(("coarse-grid.csv", ["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0",
-                                     "--grid-points", "11"]))
+    # the largest kick the +-8 W report grid holds, delta/W = 3.5, and two kicks that a branch truncates
+    runs += [(f"{mode}-kick-3.5.csv", [mode, "--delta-over-w", "3.5", "--phi", "0.75pi", "--alpha", "0"])
+             for mode in ("distributions", "decompose")]
     runs += [(f"truncated-{mode}.csv", [mode, "--delta-over-w", kick, "--phi", "0.75pi", "--alpha", "0"])
              for mode, kick in (("distributions", "10"), ("decompose", "4"))]
     # runs that stop before a mode's modules load, and the design's config errors, raised in RunConfig.design

@@ -25,7 +25,6 @@ import numpy as np
 from . import analytic, floatfmt, numeric
 from .core import (
     BALANCED_R,
-    AliasingError,
     DARK_THRESHOLD,
     ConfigError,
     DarkPortError,
@@ -43,25 +42,18 @@ __all__ = ["RunConfig", "RunResult", "typed_table", "GridTable", "parse_config",
 MODES = ("distributions", "decompose", "sweep", "ports", "design", "verify")
 
 _POINT_MODES = ("distributions", "decompose", "ports")  # one (delta/W, phi, alpha) working point
-_GRID_MODES = ("distributions", "decompose")  # modes that emit a table over a 1D momentum grid
 
-# Allocation bounds, so that no configuration can ask for more memory than a run is sized for: a report grid of
-# 2^20 + 1 points and a sweep of 10^6 rows (four times the 501 x 501 sweep; a fresh process peaks at about 33 MiB
-# at 1000 x 1000, as CSV or JSON, and at 48 MiB at 2 x 500,000, where the writer holds the phi axis's 12 MB of text
-# once).  verify runs at the fixed sizes of verify.run_all, so it has no size keys to bound.
-MAX_GRID_POINTS = 2**20 + 1
+# Allocation bound, so that no configuration can ask for more memory than a run is sized for: a sweep of 10^6 rows
+# (four times the 501 x 501 sweep; a fresh process peaks at about 33 MiB at 1000 x 1000, as CSV or JSON, and at 48 MiB
+# at 2 x 500,000, where the writer holds the phi axis's 12 MB of text once).  distributions and decompose run on
+# numeric's default grid, and verify at the fixed sizes of verify.run_all, so they have no size keys to bound.
 MAX_SWEEP_ROWS = 10**6
 INT64_MAX = 2**63 - 1  # integer table cells are int64
 
 # Range checks: (predicate, requirement); a failing value reports "<requirement>, got <value>".
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
-_ODD_GRID = (lambda n: n >= 3 and n % 2 == 1, "must be odd and >= 3")
 _SWEEP_STEPS = (lambda n: n >= 2, "sweep needs at least 2 steps")
-
-
-def _at_most(limit: int):
-    return (lambda n: n <= limit, f"must be <= {limit}")
 
 
 def _key(default, help_text: str, *, required=(), optional=(), checks=()):
@@ -94,10 +86,6 @@ class RunConfig:
     alpha: float = _key(0.0, "interaction phase, radians", required=_POINT_MODES, optional=("sweep",))
     port: str = _key("dc", "post-selected exit pair: cc, cd, dc or dd", optional=("distributions",),
                      checks=((lambda v: v in tuple(p.value for p in PortPair), "expected one of cc, cd, dc, dd"),))
-    grid_span: float = _key(numeric.DEFAULT_SPAN, "half-width of report grids in units of W", optional=_GRID_MODES,
-                            checks=(_POSITIVE,))
-    grid_points: int = _key(numeric.DEFAULT_GRID_POINTS, "1D grid points, odd",
-                            optional=_GRID_MODES, checks=(_ODD_GRID, _at_most(MAX_GRID_POINTS)))
     delta_over_w_min: float | None = _key(None, "sweep start of delta/W", required=("sweep",), checks=(_NON_NEGATIVE,))
     delta_over_w_max: float | None = _key(None, "sweep end of delta/W", required=("sweep",))
     delta_over_w_steps: int | None = _key(None, "sweep points along delta/W (>= 2)", required=("sweep",),
@@ -112,9 +100,9 @@ class RunConfig:
                                             checks=(_POSITIVE,))
     waist_longitudinal_m: float | None = _key(None, "initial longitudinal width, metres", required=("design",),
                                               checks=(_POSITIVE,))
-    tune_target_n: int | None = _key(None, "request |alpha| = 2 pi n at the tuned separation",
-                                     optional=("design",),
-                                     checks=((lambda n: n >= 1, "must be a positive integer"), _at_most(INT64_MAX)))
+    tune_target_n: int | None = _key(None, "request |alpha| = 2 pi n at the tuned separation", optional=("design",),
+                                     checks=((lambda n: n >= 1, "must be a positive integer"),
+                                             (lambda n: n <= INT64_MAX, f"must be <= {INT64_MAX}")))
     seed: int = _key(12345, "random seed for the verification draws", optional=("verify",), checks=(_NON_NEGATIVE,))
 
     def model_params(self) -> InterferometerParams:
@@ -212,9 +200,11 @@ class GridTable:
                 for name, values in self.columns.items() if values is None or values.shape == self.shape}
 
 
-def _excerpt(raw: str) -> str:
-    """``raw`` quoted for an error message: whole up to 20 characters, else its first 20 and its length."""
-    return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}... ({len(raw)} characters)"
+def _excerpt(value: str | int) -> str:
+    """``value`` for an error message, a str quoted and an int bare: whole up to 20 characters, else its first 20
+    and its length."""
+    text, shown = str(value), repr if isinstance(value, str) else str
+    return shown(text) if len(text) <= 20 else f"{shown(text[:20])}... ({len(text)} characters)"
 
 
 def _parse_float(raw: str, key: str, line: int | None) -> float:
@@ -242,7 +232,8 @@ def _parse_int(raw: str, key: str, line: int | None) -> int:
     except ValueError:
         echo = _excerpt(raw)
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
-        if limit and len(text) > limit:  # past the limit (>= 640 digits) the excerpt ends "(N characters)"
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if limit and len(text) > limit and digits.isdecimal():  # >= 640 long: the excerpt ends "(N characters)"
             echo = f"{echo[:-1]}; Python parses at most {limit} digits)"
         raise ConfigError(f"key '{key}': cannot parse integer from {echo}", line) from None
 
@@ -312,7 +303,7 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
         value = getattr(config, key)
         for predicate, requirement in f.metadata["checks"]:
             if value is not None and not predicate(value):
-                shown = _excerpt(value) if isinstance(value, str) else repr(value)
+                shown = repr(value) if isinstance(value, float) else _excerpt(value)
                 raise ConfigError(f"key '{key}': {requirement}, got {shown}", where(key))
     for lo_key, hi_key in (("delta_over_w_min", "delta_over_w_max"), ("phi_min", "phi_max")):
         lo, hi = getattr(config, lo_key), getattr(config, hi_key)
@@ -327,7 +318,7 @@ def build_config(raw: dict[str, str], lines: dict[str, int | None] | None = None
     if config.mode == "sweep" and config.delta_over_w_steps * config.phi_steps > MAX_SWEEP_ROWS:
         raise ConfigError(
             f"key 'phi_steps': delta_over_w_steps * phi_steps must be <= {MAX_SWEEP_ROWS} rows, "
-            f"got {config.delta_over_w_steps} * {config.phi_steps}", where("phi_steps")
+            f"got {_excerpt(config.delta_over_w_steps)} * {_excerpt(config.phi_steps)}", where("phi_steps")
         )
     if config.mode == "design":
         try:
@@ -349,16 +340,12 @@ def parse_config(text: str) -> RunConfig:
 # Mode implementations
 # ---------------------------------------------------------------------------
 
-def _report_grid(config: RunConfig, params: InterferometerParams) -> tuple[numeric.MomentumGrid, str | None]:
-    """The report grid, refused (GridSpanError) unless it holds the free and both kicked branches, and the
-    reason its quadrature is unresolved (None if it is resolved).  The table cells are exact closed-form
-    samples at any spacing; only a quadrature over the grid needs Simpson to resolve the packets."""
-    grid = numeric.default_grid(1.0, config.grid_span, config.grid_points)
-    try:
-        grid.require_resolved((params.packet(), params.kicked_packet(1), params.kicked_packet(2)))
-    except AliasingError as err:
-        return grid, str(err)
-    return grid, None
+def _report_grid(params: InterferometerParams) -> numeric.MomentumGrid:
+    """numeric's default grid, refused (GridSpanError) unless it holds the free and both kicked branches: +-8 W
+    at 2001 points holds kicks up to delta/W = 3.50, and its spacing of 0.008 W never aliases."""
+    grid = numeric.default_grid()
+    grid.require_resolved((params.packet(), params.kicked_packet(1), params.kicked_packet(2)))
+    return grid
 
 
 def _fmt(value: float, spec: str) -> str:
@@ -378,14 +365,13 @@ def _fmt_params(params: InterferometerParams) -> str:
 def _run_distributions(config: RunConfig) -> RunResult:
     params = config.model_params()
     port = PortPair(config.port)
-    grid, unresolved = _report_grid(config, params)
+    grid = _report_grid(params)
     p = grid.points
     dens1, dens2 = (analytic.port_marginal_density(params, port, electron, p) for electron in (1, 2))
     rows = typed_table({"p_over_W": p, "P1_times_W": dens1, "P2_times_W": dens2})
-    quad_mean = f"unresolved ({unresolved})" if unresolved else _fmt(grid.density_mean(dens1), "+.6")
     summary = [
         f"distributions mode: port {port.name}, {_fmt_params(params)}",
-        f"  mean p1/W from quadrature of the emitted density: {quad_mean}",
+        f"  mean p1/W from quadrature of the emitted density: {_fmt(grid.density_mean(dens1), '+.6')}",
     ]
     if port is PortPair.DC:
         closed = analytic.mean_postselected(params, 1)
@@ -403,8 +389,7 @@ def _run_distributions(config: RunConfig) -> RunResult:
 
 def _run_decompose(config: RunConfig) -> RunResult:
     params = config.model_params()
-    grid, _ = _report_grid(config, params)
-    p = grid.points
+    p = _report_grid(params).points
     direct, cross = analytic.term_decomposition(params, p)
     rows = typed_table({"p_over_W": p, "T_a_times_W": direct, "T_b_times_W": cross,
                         "P1_unnormalized_times_W": direct + cross})
@@ -718,7 +703,7 @@ def _read_argv(argv: list[str]) -> tuple[str | None, dict[str, str], dict[str, i
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit status: 0, 1 for a run that fails
-    (dark port, unresolved grid, unwritable output, failed suite), 2 for a malformed command line or config."""
+    (dark port, truncated grid, unwritable output, failed suite), 2 for a malformed command line or config."""
     try:
         command = _read_argv(sys.argv[1:] if argv is None else argv)
         if command is None:

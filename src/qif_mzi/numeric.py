@@ -146,9 +146,9 @@ class MomentumGrid:
                 )
 
 
-def default_grid(width: float = 1.0, span: float = DEFAULT_SPAN, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:
-    """Symmetric grid spanning +-span*width."""
-    return MomentumGrid(-span * width, span * width, n)
+def default_grid(width: float = 1.0, n: int = DEFAULT_GRID_POINTS) -> MomentumGrid:
+    """Symmetric grid spanning +-DEFAULT_SPAN*width."""
+    return MomentumGrid(-DEFAULT_SPAN * width, DEFAULT_SPAN * width, n)
 
 
 @dataclass(frozen=True, eq=False)

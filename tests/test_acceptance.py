@@ -234,7 +234,7 @@ def test_criterion_9_determinism_and_dark_ports(tmp_path, capsys):
     for name in ("a", "b"):
         out = tmp_path / f"det_{name}.csv"
         code = main(
-            ["--config", str(REPO / "configs" / "fig2c.cfg"), "--grid-points", "301", "--out", str(out)]
+            ["--config", str(REPO / "configs" / "fig2c.cfg"), "--out", str(out)]
         )
         assert code == 0
         outputs.append(out.read_bytes())

@@ -107,8 +107,8 @@ def test_keys_are_mode_scoped():
 
 
 def test_range_validation():
-    with pytest.raises(ConfigError, match="odd"):
-        build_config({"mode": "distributions", "delta_over_w": "0.3", "phi": "0", "alpha": "0", "grid_points": "100"})
+    with pytest.raises(ConfigError, match="unknown key 'grid_points'"):  # the report grid is numeric's default
+        parse_config(FIG2C_TEXT + "grid_points=100\n")
     with pytest.raises(ConfigError, match="ordered"):
         parse_config("mode=sweep\ndelta_over_w_min=2\ndelta_over_w_max=1\ndelta_over_w_steps=5\nphi_min=0\nphi_max=1\nphi_steps=5\n")
     with pytest.raises(ConfigError, match="at least 2"):
@@ -691,19 +691,18 @@ def test_sweep_planes_filled_in_blocks_equal_one_mean_surface_call(steps, monkey
 
 def test_distributions_reports_both_mean_conventions():
     config = build_config(
-        {"mode": "distributions", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0", "grid_points": "401"}
+        {"mode": "distributions", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0"}
     )
     result = execute(config)
     assert result.columns == ["p_over_W", "P1_times_W", "P2_times_W"]
-    assert len(result.rows) == 401
+    assert len(result.rows) == numeric.DEFAULT_GRID_POINTS
     text = "\n".join(result.summary)
     assert "+0.356704" in text and "+0.489654" in text and "difference" in text
 
 
 def test_distributions_port_cc_is_the_kicked_packet():
     config = build_config(
-        {"mode": "distributions", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0",
-         "port": "cc", "grid_points": "401"}
+        {"mode": "distributions", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0", "port": "cc"}
     )
     result = execute(config)
     p = result.rows["p_over_W"].ravel()
@@ -714,7 +713,7 @@ def test_distributions_port_cc_is_the_kicked_packet():
 
 def test_decompose_terms_sum_exactly():
     config = build_config(
-        {"mode": "decompose", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0", "grid_points": "201"}
+        {"mode": "decompose", "delta_over_w": "0.3", "phi": "0.75pi", "alpha": "0"}
     )
     result = execute(config)
     assert result.columns == ["p_over_W", "T_a_times_W", "T_b_times_W", "P1_unnormalized_times_W"]
@@ -844,30 +843,29 @@ def test_verify_mode_small_battery():
 def test_main_runs_preset_and_writes_deterministic_bytes(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    base = ["--config", str(REPO / "configs" / "fig2c.cfg"), "--grid-points", "201"]
+    base = ["--config", str(REPO / "configs" / "fig2c.cfg")]
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert "wrote 201 row(s)" in capsys.readouterr().out
+    assert "wrote 2001 row(s)" in capsys.readouterr().out
 
 
 def test_main_flag_overrides_file(tmp_path):
     config_file = tmp_path / "run.cfg"
     config_file.write_text(FIG2C_TEXT)
     out = tmp_path / "run.json"
-    code = main(["--config", str(config_file), "--delta-over-w", "0", "--grid-points", "5",
-                 "--format", "json", "--out", str(out)])
+    code = main(["--config", str(config_file), "--delta-over-w", "0", "--format", "json", "--out", str(out)])
     assert code == 0
     rows = json.loads(out.read_text())
-    assert len(rows) == 5
-    # delta = 0: both electrons keep the symmetric input density
-    assert rows[2]["P1_times_W"] == pytest.approx(rows[2]["P2_times_W"], rel=1e-14)
+    assert len(rows) == 2001
+    # delta = 0: both electrons keep the symmetric input density (row 1000: p = 0)
+    assert rows[1000]["P1_times_W"] == pytest.approx(rows[1000]["P2_times_W"], rel=1e-14)
 
 
 def test_main_positional_mode_overrides_file(tmp_path):
     config_file = tmp_path / "run.cfg"
     config_file.write_text(FIG2C_TEXT)
-    code = main(["decompose", "--config", str(config_file), "--grid-points", "11"])
+    code = main(["decompose", "--config", str(config_file)])
     assert code == 0
 
 
@@ -890,16 +888,16 @@ def test_main_dark_port_is_structured_error(tmp_path, capsys):
 
 
 _POINT = ["--delta-over-w", "0.3", "--phi", "1", "--alpha", "0"]
-_TRUNCATED, _WIDTH_OVERFLOW = "grid [-8, 8] truncates a branch", "grid bounds must be ordered and a finite width apart"
+_TRUNCATED = "grid [-8, 8] truncates a branch"
 
 
 @pytest.mark.parametrize("argv, error", [
     (["distributions", "--delta-over-w", "10", "--phi", "0.9pi", "--alpha", "0"], _TRUNCATED),
     (["distributions", "--delta-over-w", "1e300", "--phi", "0.9pi", "--alpha", "0"], _TRUNCATED),
-    # a span whose grid width overflows the double range
-    (["distributions", *_POINT, "--grid-span", "1e308"], _WIDTH_OVERFLOW),
-    (["decompose", *_POINT, "--grid-span", "1e308"], _WIDTH_OVERFLOW),
-], ids=["half-off-grid", "overflowing", "distributions-span-overflow", "decompose-span-overflow"])
+    # just past the largest kick the +-8 W report grid holds, delta/W = 3.50
+    (["distributions", "--delta-over-w", "3.51", "--phi", "0.75pi", "--alpha", "0"], _TRUNCATED),
+    (["decompose", "--delta-over-w", "3.51", "--phi", "0.75pi", "--alpha", "0"], _TRUNCATED),
+], ids=["half-off-grid", "overflowing", "distributions-kick-3.51", "decompose-kick-3.51"])
 def test_main_report_grid_must_hold_every_branch(argv, error, tmp_path, capsys):
     out = tmp_path / "truncated.csv"
     with warnings.catch_warnings():
@@ -913,14 +911,27 @@ def test_main_report_grid_must_hold_every_branch(argv, error, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["distributions", "decompose"])
-def test_main_report_grid_too_wide_to_square_warns_nothing(mode, tmp_path, capsys):
-    # a 1e300 W grid is finite, but (p / W)^2 overflows on it: a packet's amplitude is 0.0 from |p / W| = 38.6 on, so
-    # the cells must be written without a RuntimeWarning, which the suite turns into an error
+def test_main_report_grid_holds_the_largest_kick(mode, tmp_path, capsys):
+    # +-8 W holds every branch up to delta/W = 3.50, a kick whose branch overlap I^2 is 0.0022
     out = tmp_path / f"{mode}.csv"
-    assert main([mode, *_POINT, "--grid-span", "1e300", "--grid-points", "5", "--out", str(out)]) == 0
-    edges = [line.split(",")[1:] for line in out.read_text().splitlines()[1::4]]
-    assert edges == [["0.0000000000000000e+00"] * len(edges[0])] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([mode, "--delta-over-w", "3.5", "--phi", "0.75pi", "--alpha", "0", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 1 + numeric.DEFAULT_GRID_POINTS
+
+
+@pytest.mark.parametrize("mode", ["distributions", "decompose"])
+@pytest.mark.parametrize("key, value", [("grid_span", "9"), ("grid_points", "401")])
+def test_main_report_modes_have_no_resolution_keys(mode, key, value, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(f"mode = {mode}\ndelta_over_w = 0.3\nphi = 1\nalpha = 0\n{key} = {value}\n")
+    runs = ((["--config", str(config_file)], "line 5: ", key), ([mode, *_POINT, flag, value], "", flag))
+    for argv, line, spelling in runs:
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 2
+        assert capsys.readouterr() == ("", f"qif-mzi: config error: {line}unknown key '{spelling}'\n")
+        assert not (tmp_path / "run.csv").exists()
 
 
 def test_main_config_error_exit_code(capsys):
@@ -941,8 +952,9 @@ _RANGE_ERRORS = [
     (FIG2C_TEXT, "r", "1.5", 5, "key 'r': must lie in [0, 1], got 1.5"),
     ("mode = ports\nphi = 0\nalpha = 0\n", "delta_over_w", "-0.1", 4, "key 'delta_over_w': must be >= 0, got -0.1"),
     (FIG2C_TEXT, "port", "xx", 5, "key 'port': expected one of cc, cd, dc, dd, got 'xx'"),
-    (FIG2C_TEXT, "grid_span", "-2", 5, "key 'grid_span': must be positive, got -2.0"),
-    (FIG2C_TEXT, "grid_points", "100", 5, "key 'grid_points': must be odd and >= 3, got 100"),
+    # the report grid is numeric's default: its former keys are unknown at any value
+    (FIG2C_TEXT, "grid_span", "-2", 5, "unknown key 'grid_span'"),
+    (FIG2C_TEXT, "grid_points", "100", 5, "unknown key 'grid_points'"),
     (_SWEEP.replace("delta_over_w_min = 0\n", ""), "delta_over_w_min", "-1", 7,
      "key 'delta_over_w_min': must be >= 0, got -1.0"),
     (_SWEEP.replace("delta_over_w_max = 3\n", ""), "delta_over_w_max", "0", 7,
@@ -972,8 +984,8 @@ _RANGE_ERRORS = [
 
 # upper bounds on allocation sizes, and values that overflow: (id, document, key, value, line, message)
 _LIMIT_ERRORS = [
-    ("grid_points-max", FIG2C_TEXT, "grid_points", "1048579", 5, "key 'grid_points': must be <= 1048577, got 1048579"),
-    # the former verify size bounds: a value above the old bound is an unknown key, not a limit error
+    # the former size bounds: a value above the old bound is an unknown key, not a limit error
+    ("grid_points-max", FIG2C_TEXT, "grid_points", "1048579", 5, "unknown key 'grid_points'"),
     ("joint_grid_points-max", "mode = verify\n", "joint_grid_points", "2051", 2, "unknown key 'joint_grid_points'"),
     ("kick_points-max", "mode = verify\n", "kick_points", "1048577", 2, "unknown key 'kick_points'"),
     ("draws_ports-max", "mode = verify\n", "draws_ports", "100001", 2, "unknown key 'draws_ports'"),
@@ -988,8 +1000,8 @@ _LIMIT_ERRORS = [
      "-1e308", 5, "key 'alpha': |alpha| + |phi| must be finite (got -1e+308 and 1e+308)"),
     ("sweep-steps-max", _SWEEP.replace("delta_over_w_steps = 5\n", ""), "delta_over_w_steps", "100000000000", 6,
      "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, got 100000000000 * 5"),
-    ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,
-     "key 'tune_target_n': must be <= 9223372036854775807, got 100000000000000000000"),
+    ("tune_target_n-max", _DESIGN, "tune_target_n", "100000000000000000000", 7,  # 21 digits: echoed as an excerpt
+     "key 'tune_target_n': must be <= 9223372036854775807, got 10000000000000000000... (21 characters)"),
     # derived design quantities outside double or int64 range; the error points at the last input given
     ("design-force-overflow", _DESIGN.replace("separation_m = 2e-3\n", ""), "separation_m", "1e-170", 6,
      "design: derived force is not a finite double for these inputs"),
@@ -1022,7 +1034,7 @@ def test_main_range_error_wording(base, key, value, line, message, tmp_path, cap
 
 @st.composite
 def point_runs(draw):
-    """Accepted ``distributions`` and ``ports`` runs: (argv, params, port, grid in units of W or None)."""
+    """Accepted ``distributions`` and ``ports`` runs: (argv, params, port, report grid in units of W or None)."""
     mode = draw(st.sampled_from(["distributions", "ports"]))
     r, delta_over_w = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 6.0))
     phi, alpha = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
@@ -1031,9 +1043,8 @@ def point_runs(draw):
     grid = port = None
     if mode == "distributions":
         port = draw(st.sampled_from(list(PortPair)))
-        span, n = draw(st.floats(5.0, 16.0)), 2 * draw(st.integers(1, 400)) + 1  # any spacing, resolved or not
-        keys.update({"port": port.value, "grid-span": span, "grid-points": n})
-        grid = numeric.MomentumGrid(-span, span, n)
+        keys["port"] = port.value
+        grid = numeric.default_grid()
     argv = [mode]
     for key, value in keys.items():  # '--key=value' or '--key value', negative values included
         text = value if isinstance(value, str) else repr(value)
@@ -1059,11 +1070,7 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
     assert np.all(np.isfinite(numbers))
     if grid is None:
         return
-    # the summary states the quadrature mean only where Simpson resolves the packets
     alias = GaussianPacket(1.0).alias_bound(grid.spacing)
-    assert ("quadrature of the emitted density: unresolved" in stdout.getvalue()) == (alias > numeric.TAIL_BUDGET)
-    if alias > numeric.TAIL_BUDGET:
-        return
     # Quadrature mean of the emitted density against the closed form, in units of W.  Each
     # branch's analytic mass outside the grid is at most `tail`, and Simpson's aliasing error on it
     # at most `alias`; normalising by the port probability scales both, and the rounding floor, by
@@ -1086,7 +1093,7 @@ def test_main_point_modes_emit_finite_tables_or_structured_errors(run):
 @pytest.mark.parametrize("mode, keys", [
     ("distributions", [("--delta-over-w", "0.3"), ("--phi", "-0.5pi"), ("--alpha", "0")]),
     ("ports", [("--delta-over-w", "0.3"), ("--phi", "0.75pi"), ("--alpha", "-1e-5"), ("--r", "0.4")]),
-    ("decompose", [("--delta-over-w", "0.3"), ("--phi", "-2.1"), ("--alpha", "-.5"), ("--grid-span", "9")]),
+    ("decompose", [("--delta-over-w", "0.3"), ("--phi", "-2.1"), ("--alpha", "-.5")]),
 ])
 def test_main_negative_values_as_separate_arguments(mode, keys, tmp_path, capsys):
     outputs = []
@@ -1100,25 +1107,14 @@ def test_main_negative_values_as_separate_arguments(mode, keys, tmp_path, capsys
     assert outputs[0] == outputs[1]
 
 
-def test_main_coarse_report_grid_states_the_mean_unresolved(tmp_path, capsys):
-    out = tmp_path / "coarse.csv"
-    assert main(["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0",
-                 "--grid-points", "11", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == ("  mean p1/W from quadrature of the emitted density: "
-                        "unresolved (spacing h = 1.6 W, alias bound 1.0e+00 > 1e-10)")
-    assert lines[2] == "  mean p1/W, closed form with branch overlap I^2:  +0.356704"
-    assert len(out.read_text().splitlines()) == 12
-
-
 # verify runs at the fixed resolutions of verify.run_all: no key sets its grids or draw counts
 _VERIFY_SIZE_KEYS = [
     ("joint_grid_points", "2049", True),
     ("kick_points", "4096", True),
     ("draws_marginal", "100", True),
     ("draws_ports", "1000", True),
-    ("grid_span", "1e308", False),
-    ("grid_points", "2001", False),
+    ("grid_span", "1e308", True),
+    ("grid_points", "2001", True),
 ]
 
 
@@ -1193,7 +1189,7 @@ def test_main_port_modes_print_no_nan_at_any_finite_phase(mode, r, delta_over_w,
 
 def test_main_unwritable_output(capsys):
     code = main(["distributions", "--delta-over-w", "0.3", "--phi", "0.75pi", "--alpha", "0",
-                 "--grid-points", "11", "--out", "/dev/null/sub/x.csv"])
+                 "--out", "/dev/null/sub/x.csv"])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
 
@@ -1202,7 +1198,7 @@ def test_main_unwritable_output(capsys):
 def test_main_failed_write_prints_its_error_and_no_summary(mode, capsys):
     # the summary follows the table, since a sweep's folds the blocks the writer reads: a run whose file cannot be
     # written prints the error alone
-    argv = _sweep_argv(_SWEEP_201) if mode == "sweep" else ["distributions", *_POINT, "--grid-points", "11"]
+    argv = _sweep_argv(_SWEEP_201) if mode == "sweep" else ["distributions", *_POINT]
     assert main([*argv, "--out", "/dev/null/sub/x.csv"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("qif-mzi: error: cannot write output file")
@@ -1398,8 +1394,7 @@ _PORTS = ["ports", "--delta-over-w", "0.3", "--alpha", "0"]
     ([*_PORTS, "--phi", "1", "-x"], "unknown key '-x'"),
     ([*_PORTS, "--phi", "1", "--"], "unknown key '--'"),
     ([*_PORTS, "--phi", "1e999"], "key 'phi': value '1e999' is not finite"),
-    (["distributions", *_PORTS[1:], "--phi", "1", "--grid-points", "3.5"],
-     "key 'grid_points': cannot parse integer from '3.5'"),
+    (["verify", "--seed", "3.5"], "key 'seed': cannot parse integer from '3.5'"),
 ], ids=["unknown", "abbreviation", "repeated", "repeated-empty", "trailing", "joined-empty", "stray-positional",
         "mode-flag", "short-flag", "double-dash", "non-finite", "non-integer"])
 def test_main_malformed_command_line_is_a_config_error(argv, message, capsys):
@@ -1423,6 +1418,32 @@ def test_main_seed_beyond_the_integer_digit_limit_is_a_short_config_error(tmp_pa
     assert main(["--config", str(config)]) == 2
     assert capsys.readouterr() == ("", f"qif-mzi: config error: line 2: {message}\n")
     assert parse_config(f"mode = verify\nseed = {seed[:limit]}\n").seed == int(seed[:limit])
+
+
+def test_main_names_the_digit_limit_only_for_a_digit_string(capsys):
+    # a long value that is not a signed digit string fails for its text, not its digit count
+    assert main(["verify", "--seed", "x" * 5000]) == 2
+    assert capsys.readouterr() == ("", "qif-mzi: config error: key 'seed': cannot parse integer from "
+                                       "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)\n")
+    assert main(["verify", "--seed", "1" * 5000]) == 2
+    assert capsys.readouterr() == ("", "qif-mzi: config error: key 'seed': cannot parse integer from "
+                                       f"'11111111111111111111'... (5000 characters; Python parses at most "
+                                       f"{sys.get_int_max_str_digits()} digits)\n")
+
+
+# a parsed int past 20 characters is echoed as its first 20 and its length, bare as a short int is
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", "-" + "1" * 4000], "key 'seed': must be >= 0, got -1111111111111111111... (4001 characters)"),
+    (["--config", str(REPO / "configs" / "design.cfg"), "--tune-target-n", "9" * 4000],
+     "key 'tune_target_n': must be <= 9223372036854775807, got 99999999999999999999... (4000 characters)"),
+    (["sweep", "--delta-over-w-min", "0", "--delta-over-w-max", "3", "--delta-over-w-steps", "5", "--phi-min", "0",
+      "--phi-max", "1", "--phi-steps", "9" * 4000],
+     "key 'phi_steps': delta_over_w_steps * phi_steps must be <= 1000000 rows, "
+     "got 5 * 99999999999999999999... (4000 characters)"),
+], ids=["verify-seed", "design-tune-target-n", "sweep-rows"])
+def test_main_echoes_a_long_integer_as_an_excerpt(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"qif-mzi: config error: {message}\n")
 
 
 @pytest.mark.parametrize("value, problem", [
@@ -1514,10 +1535,9 @@ _ARGV_VALUES = {  # (accepted values, a refused value)
     "alpha": (["0", "-1e-5", "-.5", "0.4pi"], ""),
     "r": (["0.4", "0.9", "1"], "-0.1"),
     "port": (["cd", "dd", "dc", "cc"], "xx"),
-    "grid_points": (["11", "31"], "100"),
     "format": (["csv", "json"], "xml"),
 }
-_OPTIONAL = {"ports": ["r", "format"], "distributions": ["r", "format", "port", "grid_points"]}
+_OPTIONAL = {"ports": ["r", "format"], "distributions": ["r", "format", "port"]}
 _MOSTLY = st.sampled_from([True] * 9 + [False])
 _FLAG_PREFIXES = sorted({flag[:n] for flag in _FLAGS for n in range(3, len(flag))} - _FLAGS - {"--config"})
 
@@ -1620,6 +1640,15 @@ def test_reproduce_figures_returns_the_failing_run_code(monkeypatch, tmp_path, c
     assert _reproduce_figures(monkeypatch, tmp_path) == 2
     assert "missing required keys" in capsys.readouterr().err
     assert list((tmp_path / "out").iterdir()) == []  # the script stops at the first failing run
+
+
+def test_compare_outputs_battery_spells_only_known_flags():
+    # a stale flag fails the same way on both trees, and the run would still read "identical"
+    spec = importlib.util.spec_from_file_location("compare_outputs", REPO / "scripts" / "compare_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    flags = {arg for _, argv in script.battery() for arg in argv if arg.startswith("--")}
+    assert flags and flags <= {"--config", "--help", *cli._FLAGS}
 
 
 def test_compare_outputs_reports_only_a_run_that_differs(tmp_path, capsys, monkeypatch):
