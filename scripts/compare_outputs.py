@@ -97,6 +97,9 @@ def battery() -> list[tuple[str, list[str]]]:
     runs.append(("ports.csv", ["ports", *POINT]))
     runs += [(f"distributions-{port}.csv", ["distributions", "--port", port, *POINT])
              for port in ("cc", "cd", "dc", "dd")]
+    # dc, the default port, runs as JSON below
+    runs += [(f"distributions-{port}.json", ["distributions", "--port", port, *POINT, "--format", "json"])
+             for port in ("cc", "cd", "dd")]
     runs.append(("decompose.csv", ["decompose", *POINT[2:]]))  # decompose has no r key: the balanced splitter
     json = "--format", "json"
     runs += [("ports.json", ["ports", *POINT, *json]), ("distributions-dc.json", ["distributions", *POINT, *json]),
@@ -110,9 +113,11 @@ def battery() -> list[tuple[str, list[str]]]:
     runs += [(f"verify-seed-{seed}.csv", ["verify", "--seed", str(seed)]) for seed in (0, 2**32, 2**64 + 12345, 10**40)]
     runs.append((f"verify-seed-{10**40}.json", ["verify", "--seed", str(10**40), "--format", "json"]))
     runs += [(f"dark-probe-{k}.csv", ["distributions", *probe, "--alpha", "0"]) for k, probe in enumerate(DARK_PROBES)]
-    # the largest kick the +-8 W report grid holds, delta/W = 3.5, and two kicks that a branch truncates
-    runs += [(f"{mode}-kick-3.5.csv", [mode, "--delta-over-w", "3.5", "--phi", "0.75pi", "--alpha", "0"])
-             for mode in ("distributions", "decompose")]
+    # the largest kick the +-8 W report grid holds, delta/W = 3.5, whose tails take the exponent forms, and two kicks
+    # that a branch truncates
+    runs += [(f"{mode}-kick-3.5.{fmt}", [mode, "--delta-over-w", "3.5", "--phi", "0.75pi", "--alpha", "0",
+                                         "--format", fmt])
+             for mode in ("distributions", "decompose") for fmt in ("csv", "json")]
     runs += [(f"truncated-{mode}.csv", [mode, "--delta-over-w", kick, "--phi", "0.75pi", "--alpha", "0"])
              for mode, kick in (("distributions", "10"), ("decompose", "4"))]
     # runs that stop before a mode's modules load, and the design's config errors, raised in RunConfig.design

@@ -536,34 +536,6 @@ def execute(config: RunConfig) -> RunResult:
 # copy with the zeros dropped the most of it; a JSON block of as much text, 0.9 to 1.3 MB.
 _CHUNK_ROWS = 2**12
 
-# Text of an int or str cell (ASCII str, or UTF-8 bytes that keep lone surrogates as a str does) and its
-# "S" dtype, fixed where the kind bounds it (an int64 takes 20 characters) to halve numpy's cost.
-_CELL_TEXT = {("csv", "i"): (str, "S20"), ("json", "i"): (str, "S20"), ("json", "U"): (json.dumps, "S"),
-              ("csv", "U"): (lambda text: text.encode("utf-8", "surrogatepass"), "S")}
-
-
-def _cells(values: np.ndarray, fmt: str) -> np.ndarray:
-    """The text of each of ``values`` as a zero-padded uint8 cell, shape ``values.shape + (width,)``."""
-    if values.dtype.kind == "f":
-        return (floatfmt.e16 if fmt == "csv" else floatfmt.shortest)(values)
-    text, dtype = _CELL_TEXT[fmt, values.dtype.kind]
-    return np.array(list(map(text, values.ravel().tolist())), dtype=dtype).view(np.uint8).reshape(values.shape + (-1,))
-
-
-def _rows_bytes(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
-    """The rows of one block: its (outer, inner, width) arrays of zero-padded cells between the separators, zeros
-    dropped.  Each array leaves ``blocks`` as it is assigned, so the cells are freed before ``translate`` copies the
-    text, and the matrix dies on return: the writer's peak is one block's text and its copy."""
-    widths = [block.shape[-1] for block in blocks]
-    template = b"".join(const + bytes(width) for const, width in zip(between, widths)) + between[-1]
-    text = bytearray(template) * math.prod(blocks[0].shape[:-1])  # every row's separators around zeroed cell slots
-    matrix, end = np.frombuffer(text, np.uint8).reshape(*blocks[0].shape[:-1], -1), 0
-    for const, width in zip(between, widths):
-        end += len(const) + width
-        matrix[..., end - width:end] = blocks.pop(0)
-    return text.translate(None, b"\0")
-
-
 def _separators(columns: list[str], fmt: str) -> tuple[list[bytes], int]:
     """The bytes before each cell, then after the row, and the rows of a block: ``_CHUNK_ROWS`` for CSV, and for JSON
     as many as pad to a CSV block's text (24-byte cell slots and separators), at least 1."""
@@ -587,15 +559,13 @@ def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None)
     return ``out``; ``main`` passes a sink that writes each piece on to the file as it comes.
 
     The head goes first, then blocks of rows (whole grid rows, or a slice of one; ``_CHUNK_ROWS`` for CSV, and for
-    JSON, whose rows run about twice as long, as many as pad to a CSV block's text), each one uint8 matrix: a template
-    row of the separators repeated, the block's zero-padded cells assigned into its slots (an axis's as a broadcast of
-    its text, formatted once; the full columns as :meth:`GridTable.full` gives them, a computed column evaluated for
-    this block and dropped with it), its zero bytes dropped in one pass.  No bytes are decoded (a ``str`` of a 29 MB
-    table, and a text-mode file's copy of it, cost 28 MB of peak RSS).  CSV floats are
-    ``"%.16e" % v`` and JSON floats ``repr(v)``, both from the double-double digits of :mod:`.floatfmt`, with ``%`` or
-    ``repr`` itself formatting the cells its error bound cannot decide.  JSON is ``json.dumps(objects, indent=2)`` of
-    the rows as objects, ``[]`` for none.  Identical inputs give identical bytes.  Floats must be finite, since JSON
-    cannot spell nan or inf: stored columns are checked before the first byte, a computed column before its block's.
+    JSON, whose rows run about twice as long, as many as pad to a CSV block's text), each block's bytes made by
+    :func:`.floatfmt.rows` from its cells (an axis's as a broadcast of its text, formatted once; the full columns as
+    :meth:`GridTable.full` gives them, a computed column evaluated for this block and dropped with it), which
+    :func:`.floatfmt.cells` renders.  No bytes are decoded (a ``str`` of a 29 MB table, and a text-mode file's copy of
+    it, cost 28 MB of peak RSS).  JSON is ``json.dumps(objects, indent=2)`` of the rows as objects, ``[]`` for none.
+    Identical inputs give identical bytes.  Floats must be finite, since JSON cannot spell nan or inf: stored columns
+    are checked before the first byte, a computed column before its block's.
     """
     if list(columns) != list(rows.columns):
         raise ValueError(f"columns {list(columns)} do not match the table's fields {list(rows.columns)}")
@@ -608,7 +578,7 @@ def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None)
         if values.shape != shape:  # an axis, float64 as GridTable holds it: formatted once, in blocks, into its text
             text = np.empty(values.shape + (floatfmt.WIDTH,), np.uint8)
             for block in numeric.blocks(values.shape, _CHUNK_ROWS):
-                text[block] = _cells(values[block], fmt)
+                text[block] = floatfmt.cells(values[block], fmt)
             axes[name] = np.broadcast_to(text, shape + text.shape[-1:])
     between, block_rows = _separators(columns, fmt)
     out = bytearray() if out is None else out
@@ -621,9 +591,9 @@ def write_table(columns: list[str], rows: GridTable, fmt: str = "csv", out=None)
         cells = {name: text[block] for name, text in axes.items()}
         floats = [name for name, values in full.items() if values.dtype.kind == "f"]
         if floats:  # one call for every float column: a call per column costs wide tables dearly
-            cells.update(zip(floats, _cells(np.stack([full.pop(name) for name in floats]), fmt)))
-        cells.update((name, _cells(values, fmt)) for name, values in full.items())
-        piece = _rows_bytes([cells.pop(name) for name in columns], between)
+            cells.update(zip(floats, floatfmt.cells(np.stack([full.pop(name) for name in floats]), fmt)))
+        cells.update((name, floatfmt.cells(values, fmt)) for name, values in full.items())
+        piece = floatfmt.rows([cells.pop(name) for name in columns], between)
         if fmt == "json" and b == len(blocks) - 1:  # as json.dumps: no comma after the last object
             piece[-2:] = b"\n]\n"
         out += piece
@@ -712,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         path, raw, lines = command
         if path is not None:  # flags override the file's keys; errors in an overridden key point at no line
             try:
-                text = Path(path).read_text(encoding="utf-8")
+                text = Path(path).read_text(encoding="utf-8-sig")
             except (OSError, UnicodeError) as err:
                 raise ConfigError(f"cannot read config file {path!r}: {err}") from err
             file_raw, file_lines = parse_config_text(text)

@@ -1,6 +1,11 @@
-"""Float64 table cells over whole arrays: ``"%.16e" % v`` for CSV and ``repr(v)`` for JSON, byte for byte.
+"""Table text: every cell and row of a CSV or JSON table, as bytes.
 
-Both formats share one double-double core.  For a nonzero double x with decimal exponent k it forms
+A cell is one value's text, zero-padded: a float64 is ``"%.16e" % v`` (CSV) or ``repr(v)`` (JSON) in WIDTH bytes, a
+signed int ``str(v)`` in 20, and a str its UTF-8 bytes with lone surrogates kept (CSV) or ``json.dumps(v)`` (JSON) in
+as many as its longest.  :func:`cells` gives an array's cells, and :func:`rows` sets a block's cells between their
+separators and drops the zeros (a table refuses NUL in a str, and no other text holds one).
+
+Float arrays share one double-double core.  For a nonzero double x with decimal exponent k it forms
 y = |x| 10^(16-k) in [1e16, 1e17) as floor(y) plus a fraction: a Dekker product of the frexp mantissa with a
 double-double 10^(16-k), relative error near 2^-103, so within 2^-45 in units of y.  ``%.16e`` takes the
 nearest integer to y as its 17 digits.  ``repr`` takes the shortest digits inside x's rounding interval, the
@@ -13,6 +18,8 @@ saving of about 1 microsecond a value.
 from __future__ import annotations
 
 import functools
+import json
+import math
 
 import numpy as np
 
@@ -21,6 +28,10 @@ _SMALL = 256
 _MARGIN = 2.0**-32  # far above the core's error in units of y, far below the 1/2 of a rounding
 _E_LO, _E_HI = -293, 341  # 16 - k for every decimal exponent k of a finite double, one beyond each end
 _P10 = 10 ** np.arange(17, dtype=np.int64)
+# the value-by-value renderer and "S" dtype of each (format, kind); a bounded kind's fixed size halves numpy's cost
+_TEXT = {("csv", "f"): (b"%.16e".__mod__, f"S{WIDTH}"), ("json", "f"): (repr, f"S{WIDTH}"),
+         ("csv", "i"): (str, "S20"), ("json", "i"): (str, "S20"),
+         ("csv", "U"): (lambda text: text.encode("utf-8", "surrogatepass"), "S"), ("json", "U"): (json.dumps, "S")}
 
 
 @functools.cache
@@ -172,8 +183,9 @@ def _digits(x, shortest):
     return digits, k, j, uncertain
 
 
-def _render(x, shortest):
-    """The cells of finite doubles ``x``: 17 digits (``%.16e``), or the shortest that round-trip (``repr``)."""
+def _render(x, fmt):
+    """The ``fmt`` cells of finite doubles ``x``: 17 digits (``%.16e``), or the shortest that round-trip (``repr``)."""
+    shortest = fmt == "json"
     digits, k, j, uncertain = _digits(x, shortest)
     heads, digits4, digits3, exponents, keep_bytes = _tables()[1]
     words = np.empty((x.size, 6), np.uint32)
@@ -206,27 +218,33 @@ def _render(x, shortest):
         for exponent in np.flatnonzero(np.bincount(k[positional] + 4)) - 4:
             rows = np.flatnonzero(positional & (k == exponent))
             out[rows] = np.take(out, rows, axis=0)[:, templates[exponent + 4]]
-    out[uncertain] = _exact(x[uncertain], repr if shortest else b"%.16e".__mod__).view(np.uint8).reshape(-1, WIDTH)
+    out[uncertain] = _each(x[uncertain], fmt).view(np.uint8).reshape(-1, WIDTH)
     return out.view(f"S{WIDTH}")[:, 0]
 
 
-def _exact(values, render):
-    """Each of ``values`` rendered by ``render`` itself, as zero-padded cells."""
-    return np.fromiter(map(render, values.tolist()), f"S{WIDTH}", count=values.size)
+def _each(values, fmt):
+    """Each of ``values`` (flat) rendered by its kind's renderer in ``fmt`` itself, as zero-padded cells."""
+    text, dtype = _TEXT[fmt, values.dtype.kind]
+    return np.array(list(map(text, values.tolist())), dtype=dtype)
 
 
-def _format(values: np.ndarray, shortest: bool) -> np.ndarray:
-    """The cells of ``repr`` (``shortest``) or ``%.16e``: by the array path from _SMALL values up, else directly."""
+def cells(values: np.ndarray, fmt: str) -> np.ndarray:
+    """The ``fmt`` text of each of ``values`` (finite float64, signed int or str) as a zero-padded uint8 cell, shape
+    ``values.shape + (width,)``: float arrays of _SMALL values or more by the array path, all else value by value."""
     x = values.ravel()
-    text = _exact(x, repr if shortest else b"%.16e".__mod__) if x.size < _SMALL else _render(x, shortest)
-    return text.view(np.uint8).reshape(values.shape + (WIDTH,))
+    text = _render(x, fmt) if values.dtype.kind == "f" and x.size >= _SMALL else _each(x, fmt)
+    return text.view(np.uint8).reshape(values.shape + (text.itemsize,))
 
 
-def e16(values: np.ndarray) -> np.ndarray:
-    """``b"%.16e" % v`` for each finite float64 of ``values``, zero-padded to shape ``values.shape + (24,)``."""
-    return _format(values, shortest=False)
-
-
-def shortest(values: np.ndarray) -> np.ndarray:
-    """``repr(v)``, json.dumps's text, for each finite float64 of ``values``, zero-padded as :func:`e16` pads."""
-    return _format(values, shortest=True)
+def rows(blocks: list[np.ndarray], between: list[bytes]) -> bytearray:
+    """The rows of one block: its (outer, inner, width) arrays of zero-padded cells between the separators, zeros
+    dropped.  Each array leaves ``blocks`` as it is assigned, so the cells are freed before ``translate`` copies the
+    text, and the matrix dies on return: the writer's peak is one block's text and its copy."""
+    widths = [block.shape[-1] for block in blocks]
+    template = b"".join(const + bytes(width) for const, width in zip(between, widths)) + between[-1]
+    text = bytearray(template) * math.prod(blocks[0].shape[:-1])  # every row's separators around zeroed cell slots
+    matrix, end = np.frombuffer(text, np.uint8).reshape(*blocks[0].shape[:-1], -1), 0
+    for const, width in zip(between, widths):
+        end += len(const) + width
+        matrix[..., end - width:end] = blocks.pop(0)
+    return text.translate(None, b"\0")

@@ -311,6 +311,52 @@ def test_port_algebra_batch_matches_scalar_path():
                 assert means[electron][k, j] == (0.0 if mean is None else mean)
 
 
+def _path_space_ports(params):
+    """P, <p1> and <p2> at the exit pairs (in PortPair order) of the path-space state, built from its statements alone.
+
+    Electron 1 enters paths (A, B) with amplitudes (t, i r) and electron 2 with (i r, t); each electron on arm A
+    takes e^{i phi}, and the pairs (A, A) and (B, B), where the electrons co-propagate, take e^{i alpha} and the kick
+    (electron 1's packet moves to -delta, electron 2's to +delta).  The exits are S (x) S with S = [[t, i r], [i r, t]]
+    from paths (A, B) to ports (C, D).  Each exit pair's state lies in the span of the packets (free, kicked) of each
+    electron, where Gaussians of one width W overlap by g = exp(-(c - c')^2 / 4 W^2) and <c|p|c'> = g (c + c') / 2.
+    """
+    r, t, delta = params.r, math.sqrt(1.0 - params.r * params.r), params.delta
+    arm_a = np.array([cmath.exp(1j * params.phi), 1.0])
+    co = np.array([True, False, False, True])  # paths (A, A), (A, B), (B, A), (B, B): where the electrons co-propagate
+    paths = np.where(co, cmath.exp(1j * params.alpha), 1.0) * np.kron(np.array([t, 1j * r]) * arm_a,
+                                                                     np.array([1j * r, t]) * arm_a)
+    split = np.array([[t, 1j * r], [1j * r, t]])
+    free, kicked = (np.kron(split, split) @ np.where(mask, paths, 0.0) for mask in (~co, co))  # at (C, C), (C, D), ...
+    g = math.exp(-0.25 * (delta / params.width) ** 2)
+    gram = np.array([[1.0, g], [g, 1.0]])
+
+    def momentum(centre):  # <p> between the packets at 0 and at ``centre``
+        return np.array([[0.0, 0.5 * g * centre], [0.5 * g * centre, centre]])
+
+    # joint packet basis (free, free), (free, kicked), (kicked, free), (kicked, kicked)
+    states = np.stack([free, np.zeros(4), np.zeros(4), kicked], axis=-1)
+    norm, p1, p2 = (np.einsum("pi,ij,pj->p", states.conj(), op, states).real
+                    for op in (np.kron(gram, gram), np.kron(momentum(-delta), gram), np.kron(gram, momentum(delta))))
+    return norm, p1 / norm, p2 / norm
+
+
+def test_port_algebra_matches_an_independent_path_space_state():
+    # unbalanced splitters: r <-> t in port_states' splitter, or alpha + phi <-> alpha - phi in its kicked amplitudes,
+    # moves some P here by 0.32 or more and some mean by 0.99 or more, where verify's sum rules pass either mutation
+    rng = np.random.default_rng(20261022)
+    for _ in range(400):
+        width = rng.uniform(0.25, 4.0)
+        params = InterferometerParams(rng.uniform(0.02, 0.98), *rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2),
+                                      width * rng.uniform(0.0, 3.0), width)
+        norm, mean1, mean2 = _path_space_ports(params)
+        probs = analytic.port_probabilities(params)
+        means = analytic.port_mean_momenta(params, 1), analytic.port_mean_momenta(params, 2)
+        for j, port in enumerate(PortPair):
+            assert probs[port] == pytest.approx(norm[j], rel=0.0, abs=1e-15), (params, port)
+            for built, expected in zip(means, (mean1, mean2)):
+                assert built[port] == pytest.approx(expected[j], rel=0.0, abs=1e-14 * (1.0 + params.delta)), port
+
+
 def test_transparent_splitters_route_to_cd():
     params = InterferometerParams(0.0, 0.9, 0.4, 0.3, 1.0)
     amps = analytic.port_amplitudes(params)

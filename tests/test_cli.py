@@ -356,9 +356,8 @@ def test_array_path_floats_are_exactly_repr_and_percent_e16(values, padding):
 def test_floats_stay_exact_when_every_cell_falls_back(monkeypatch):
     # with a margin of 1 no bound is decided: "%" and repr format every cell, and the bytes are unchanged
     rendered = []
-    exact = floatfmt._exact
-    monkeypatch.setattr(floatfmt, "_exact", lambda values, render: (rendered.append(values.size),
-                                                                    exact(values, render))[1])
+    each = floatfmt._each
+    monkeypatch.setattr(floatfmt, "_each", lambda values, fmt: (rendered.append(values.size), each(values, fmt))[1])
     monkeypatch.setattr(floatfmt, "_MARGIN", 1.0)
     battery = np.concatenate([_json_battery()[::20], [0.0, -0.0]])
     nonzero = battery[battery != 0.0]  # zeros need no bound: the array path writes them itself
@@ -571,14 +570,14 @@ def test_execute_peak_allocation_exceeds_its_table_by_at_most_4_mb(steps, traced
     assert peak <= sum(values.nbytes for values in stored) + 64_000
 
 
-@pytest.mark.parametrize("render,bound", [(floatfmt.e16, 10.5), (floatfmt.shortest, 11.25)], ids=["e16", "shortest"])
-def test_float_formatter_peak_allocation_per_block(render, bound, traced_peak):
+@pytest.mark.parametrize("fmt,bound", [("csv", 10.5), ("json", 11.25)], ids=["e16", "shortest"])
+def test_float_formatter_peak_allocation_per_block(fmt, bound, traced_peak):
     # a writer block of the 501 x 501 sweep: 8 delta rows of its three columns, 12,024 doubles.  floatfmt frees its
     # dead arrays and updates in place: 10.1 (e16) and 10.8 (shortest) times the input, against 16.7 and 17.7 with
     # every intermediate alive to the end of its function; the 24-byte cells themselves are 3 times the input
     deltas, phis = np.linspace(0.0, 3.0, 501), np.linspace(0.0, 2 * math.pi, 501)
     block = np.stack(analytic.mean_surface(deltas[200:208, None], phis[None, :], 0.0))
-    cells, peak = traced_peak(lambda: render(block), warm=True)
+    cells, peak = traced_peak(lambda: floatfmt.cells(block, fmt), warm=True)
     assert cells.shape == block.shape + (24,)
     assert peak <= bound * block.nbytes
 
@@ -1506,6 +1505,22 @@ def test_main_reads_a_config_file_as_utf8_in_any_locale(tmp_path):
     assert runs[preset].stdout.startswith("ports mode: ")
     assert runs[binary].returncode == 2
     assert runs[binary].stderr.startswith(f"qif-mzi: config error: cannot read config file {str(binary)!r}")
+
+
+@pytest.mark.parametrize("document,newline", [("mode = ports\ndelta_over_w = 0.3\nphi = 0.75pi\nalpha = 0\n", "\r\n"),
+                                              ((REPO / "configs" / "design.cfg").read_text(), "\n")],
+                         ids=["ports-crlf", "design"])
+def test_main_reads_a_config_file_that_starts_with_a_byte_order_mark(document, newline, tmp_path, capsys):
+    # an editor may save UTF-8 with a BOM (U+FEFF) first: it is not part of the first key, and the run is the same
+    config_file, out, outcomes = tmp_path / "preset.cfg", tmp_path / "table.csv", []
+    for bom in ("", "\ufeff"):
+        config_file.write_bytes((bom + document.replace("\n", newline)).encode("utf-8"))
+        out.unlink(missing_ok=True)
+        code = main(["--config", str(config_file), "--out", str(out)])
+        outcomes.append((code, *capsys.readouterr(), out.read_bytes()))
+    assert outcomes[1] == outcomes[0]
+    code, stdout, stderr, _ = outcomes[0]
+    assert (code, stderr) == (0, "") and "wrote " in stdout
 
 
 _FLAGS = {"--" + key.replace("_", "-") for key in cli._KEYS if key != "mode"}
